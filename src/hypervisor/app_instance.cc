@@ -73,6 +73,8 @@ AppInstance::reinit(AppSpecPtr spec, int batch, Priority priority,
     _cachedGoalEpoch = 0;
     _latencyEstimate = kTimeNone;
     _bsName = kBitstreamNameNone;
+    _admitSeq = 0;
+    _readyMarked = false;
     _firstLaunch = kTimeNone;
     _retireTime = kTimeNone;
     _totalRunTime = 0;
@@ -190,6 +192,16 @@ AppInstance::hasConfigurableTask(bool pipelined) const
 {
     for (TaskId t : graph().topoOrder()) {
         if (taskConfigurable(t, pipelined))
+            return true;
+    }
+    return false;
+}
+
+bool
+AppInstance::hasQueuedTask() const
+{
+    for (const auto &st : _tasks) {
+        if (st.queued)
             return true;
     }
     return false;

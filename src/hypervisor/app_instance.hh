@@ -62,6 +62,13 @@ struct TaskRunState
     /** True while a batch item is executing. */
     bool executing = false;
 
+    /**
+     * True while a queueing scheduler (fcfs, rr) holds an entry for this
+     * task: set on enqueue, cleared on pop. Replaces a search of the
+     * scheduler's queue for duplicates.
+     */
+    bool queued = false;
+
     /** Times this task has been batch-preempted. */
     int preemptions = 0;
 
@@ -236,6 +243,9 @@ class AppInstance
     /** True if any task is configurable under either discipline. */
     bool hasConfigurableTask(bool pipelined) const;
 
+    /** True if any task has a scheduler queue entry (TaskRunState::queued). */
+    bool hasQueuedTask() const;
+
     /** Slots currently held (Configuring + Resident tasks). */
     std::size_t slotsUsed() const;
 
@@ -272,13 +282,26 @@ class AppInstance
     bool everCandidate() const { return _everCandidate; }
     void setEverCandidate() { _everCandidate = true; }
 
-    /** Memoized single-slot latency estimate (hypervisor-owned). */
     /** Interned bitstream-name id (set by the hypervisor on admit). */
     BitstreamNameId bitstreamNameId() const { return _bsName; }
     void setBitstreamNameId(BitstreamNameId id) { _bsName = id; }
 
+    /** Memoized single-slot latency estimate (hypervisor-owned). */
     SimTime latencyEstimate() const { return _latencyEstimate; }
     void setLatencyEstimate(SimTime t) { _latencyEstimate = t; }
+
+    /**
+     * Admission sequence number, strictly increasing in liveApps()
+     * order (hypervisor-owned). Pooling recycles ids, so ids cannot
+     * order live apps.
+     */
+    std::uint64_t admitSeq() const { return _admitSeq; }
+    void setAdmitSeq(std::uint64_t seq) { _admitSeq = seq; }
+
+    /** True while the app is on the hypervisor's readiness-change list
+        (see SchedulerOps::readyChangedApps()). */
+    bool readyMarked() const { return _readyMarked; }
+    void setReadyMarked(bool marked) { _readyMarked = marked; }
 
     /**
      * Scheduler-owned goal-number cache, validated by an epoch the
@@ -402,6 +425,10 @@ class AppInstance
     Priority _priority;
     SimTime _arrival;
     int _eventIndex;
+    // Packed beside _eventIndex: the two 4-byte fields share one slot,
+    // which keeps _admitSeq from growing the instance.
+    BitstreamNameId _bsName = kBitstreamNameNone;
+    std::uint64_t _admitSeq = 0;
 
     [[noreturn]] void taskRangePanic(TaskId t) const;
 
@@ -412,11 +439,11 @@ class AppInstance
     double _token = 0.0;
     std::size_t _slotsAllocated = 0;
     bool _everCandidate = false;
+    bool _readyMarked = false;
     SimTime _candidateSince = kTimeNone;
     std::size_t _cachedGoal = 0;
     std::uint64_t _cachedGoalEpoch = 0;
     SimTime _latencyEstimate = kTimeNone;
-    BitstreamNameId _bsName = kBitstreamNameNone;
 
     SimTime _firstLaunch = kTimeNone;
     SimTime _retireTime = kTimeNone;

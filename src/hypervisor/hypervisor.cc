@@ -125,11 +125,10 @@ Hypervisor::reserveAppPool(std::size_t n)
     _cfg.appPoolSize = std::max(_cfg.appPoolSize, n);
     _pool.reserve(_cfg.appPoolSize);
     _live.reserve(n);
-    _apps.reserve(n);
     _scheduler.reserveApps(n);
     // Ids are recycled with pooled instances, so the id space is bounded
     // by peak concurrency; +1 because id 0 is never issued.
-    _liveIndex.reserve(n + 1);
+    _owned.reserve(n + 1);
     _appNameId.reserve(n + 1);
 }
 
@@ -138,14 +137,8 @@ Hypervisor::prewarmAppPool(AppSpecPtr spec, int batch)
 {
     reserveAppPool(_cfg.appPoolSize);
     while (_pool.size() < _cfg.appPoolSize) {
-        AppInstanceId id = _nextAppId++;
-        auto inst = std::make_unique<AppInstance>(id, spec, batch,
-                                                  Priority::Medium, 0, 0);
-        if (_liveIndex.size() <= id) {
-            _liveIndex.resize(id + 1, kNoLiveIndex);
-            _appNameId.resize(id + 1, kNameNone);
-        }
-        _pool.push_back(std::move(inst));
+        _pool.push_back(std::make_unique<AppInstance>(
+            _nextAppId++, spec, batch, Priority::Medium, 0, 0));
     }
 }
 
@@ -154,52 +147,85 @@ Hypervisor::submit(AppSpecPtr spec, int batch, Priority priority,
                    int event_index)
 {
     std::unique_ptr<AppInstance> inst;
-    AppInstanceId id;
     if (!_pool.empty()) {
         // Recycle a retired instance together with its id: storage and
         // the id-indexed side tables are reused in place, so a warmed-up
         // streaming run admits without allocating.
         inst = std::move(_pool.back());
         _pool.pop_back();
-        id = inst->id();
         inst->reinit(std::move(spec), batch, priority, _eq.now(),
                      event_index);
-        // The interned timeline name belongs to the id's previous owner.
-        _appNameId[id] = kNameNone;
     } else {
-        id = _nextAppId++;
-        inst = std::make_unique<AppInstance>(id, std::move(spec), batch,
-                                             priority, _eq.now(),
+        inst = std::make_unique<AppInstance>(_nextAppId++, std::move(spec),
+                                             batch, priority, _eq.now(),
                                              event_index);
-        if (_liveIndex.size() <= id) {
-            _liveIndex.resize(id + 1, kNoLiveIndex);
-            _appNameId.resize(id + 1, kNameNone);
-        }
     }
-    _liveIndex[id] = static_cast<std::uint32_t>(_live.size());
-    // Intern the bitstream name now so the configure path never touches
-    // the name string (admissions are cold; configures are hot).
-    inst->setBitstreamNameId(
-        _fabric.internBitstreamName(inst->spec().name()));
-    _live.push_back(inst.get());
-    ++_liveEpoch;
-    _apps.push_back(std::move(inst));
     ++_stats.appsAdmitted;
-    countSample(_ctrLiveApps, static_cast<double>(_live.size()));
-    if (_started && _cfg.elideIdleTicks && !_tick->running())
-        _tick->startAligned();
-    _scheduler.onAppAdmitted(*_live.back());
+    AppInstanceId id = addLive(std::move(inst)).id();
     requestPass(SchedEvent::Arrival);
     return id;
 }
 
-AppInstance *
-Hypervisor::findApp(AppInstanceId id)
+AppInstance &
+Hypervisor::addLive(std::unique_ptr<AppInstance> inst)
 {
-    if (id >= _liveIndex.size())
-        return nullptr;
-    std::uint32_t idx = _liveIndex[id];
-    return idx == kNoLiveIndex ? nullptr : _live[idx];
+    AppInstanceId id = inst->id();
+    if (_owned.size() <= id) {
+        _owned.resize(id + 1);
+        _appNameId.resize(id + 1, kNameNone);
+    }
+    // A recycled id's interned timeline name belongs to its previous
+    // owner.
+    _appNameId[id] = kNameNone;
+    // Intern the bitstream name now so the configure path never touches
+    // the name string (admissions are cold; configures are hot).
+    inst->setBitstreamNameId(
+        _fabric.internBitstreamName(inst->spec().name()));
+    inst->setAdmitSeq(_nextAdmitSeq++);
+    AppInstance &app = *inst;
+    _owned[id] = std::move(inst);
+    _live.push_back(&app);
+    ++_liveEpoch;
+    // Each list holds a live app at most once, so matching _live's
+    // capacity keeps marking allocation-free.
+    if (_readyMarks.capacity() < _live.capacity()) {
+        _readyMarks.reserve(_live.capacity());
+        _readyChanged.reserve(_live.capacity());
+    }
+    markReadyChanged(app);
+    countSample(_ctrLiveApps, static_cast<double>(_live.size()));
+    if (_started && _cfg.elideIdleTicks && !_tick->running())
+        _tick->startAligned();
+    _scheduler.onAppAdmitted(app);
+    return app;
+}
+
+std::unique_ptr<AppInstance>
+Hypervisor::removeLive(AppInstance &app)
+{
+    _scheduler.onAppRetired(app);
+    auto it = std::lower_bound(_live.begin(), _live.end(), app.admitSeq(),
+                               [](const AppInstance *a, std::uint64_t seq) {
+                                   return a->admitSeq() < seq;
+                               });
+    if (it == _live.end() || *it != &app)
+        panic("removing app %llu, which is not live",
+              static_cast<unsigned long long>(app.id()));
+    _live.erase(it);
+    ++_liveEpoch;
+    countSample(_ctrLiveApps, static_cast<double>(_live.size()));
+    if (app.readyMarked()) {
+        app.setReadyMarked(false);
+        *std::find(_readyMarks.begin(), _readyMarks.end(), &app) =
+            _readyMarks.back();
+        _readyMarks.pop_back();
+    }
+    if (_inPass) {
+        _readyChanged.erase(
+            std::remove(_readyChanged.begin(), _readyChanged.end(), &app),
+            _readyChanged.end());
+    }
+    return std::move(_owned[app.id()]);
 }
 
 std::uint64_t
@@ -258,8 +284,11 @@ bool
 Hypervisor::configure(AppInstance &app, TaskId task, SlotId slot_id)
 {
     // Any attempt (even a rejected one) marks state dirty: the next
-    // tick pass must run so the scheduler can retry.
+    // tick pass must run so the scheduler can retry. It also re-offers
+    // the app's tasks to the next pass: a scheduler may have dequeued
+    // this task before a rejected attempt.
     ++_actionCounter;
+    markReadyChanged(app);
     // Silent (schedulers retry every pass): a migrating app is leaving
     // this board; placing it would only lengthen its quiescence.
     if (app.migrating())
@@ -452,6 +481,7 @@ Hypervisor::abortPlacement(AppInstance &app, TaskId task, SlotId slot_id)
     TaskRunState &st = app.taskState(task);
     st.phase = TaskPhase::Idle;
     st.slot = kSlotNone;
+    markReadyChanged(app);
     _buffers.release(app.id(), task);
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
     trace(slot_id, app, task, TimelineEventKind::Release);
@@ -753,6 +783,8 @@ Hypervisor::onItemDone(SlotId slot_id, SimTime item_duration)
     st.executing = false;
     ++st.itemsDone;
     app->noteItemProgress();
+    // New output can make successors configurable.
+    markReadyChanged(*app);
     if (_faults)
         _itemAttempts[slot_id] = 0;
     app->addRunTime(item_duration);
@@ -892,6 +924,7 @@ Hypervisor::requeueApp(AppInstance &app)
     // Configuring tasks keep their slots: the in-flight reconfiguration
     // lands normally and the task restarts from item 0.
     app.resetProgress();
+    markReadyChanged(app);
     requestPass(SchedEvent::Arrival);
     // A migrating app whose last held slots were just vacated by the
     // requeue is now quiescent (tasks still Configuring keep it open;
@@ -1010,6 +1043,7 @@ Hypervisor::doPreempt(SlotId slot_id)
     st.executing = false;
     ++st.preemptions;
     app->notePreemption();
+    markReadyChanged(*app);
     _buffers.release(app->id(), task);
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
     trace(slot_id, *app, task, TimelineEventKind::Preempt);
@@ -1104,23 +1138,9 @@ Hypervisor::retire(AppInstance &app)
 
     ++_stats.appsRetired;
     countSample(_ctrRetired, static_cast<double>(_stats.appsRetired));
-    _scheduler.onAppRetired(app);
-
-    std::uint32_t idx = _liveIndex[app.id()];
-    _liveIndex[app.id()] = kNoLiveIndex;
-    _live.erase(_live.begin() + idx);
-    ++_liveEpoch;
-    for (std::size_t i = idx; i < _live.size(); ++i)
-        _liveIndex[_live[i]->id()] = static_cast<std::uint32_t>(i);
-    countSample(_ctrLiveApps, static_cast<double>(_live.size()));
-    auto owner = std::find_if(
-        _apps.begin(), _apps.end(),
-        [&](const std::unique_ptr<AppInstance> &p) { return p.get() == &app; });
-    if (owner == _apps.end())
-        panic("retiring unowned app instance");
+    std::unique_ptr<AppInstance> owner = removeLive(app);
     if (_pool.size() < _cfg.appPoolSize)
-        _pool.push_back(std::move(*owner));
-    _apps.erase(owner);
+        _pool.push_back(std::move(owner));
 }
 
 void
@@ -1211,24 +1231,11 @@ Hypervisor::extractCheckpoint(AppInstanceId id)
     ck.remainingWorkEstimate = remainingWorkEstimate(*app);
 
     ++_stats.appsMigratedOut;
-    _scheduler.onAppRetired(*app);
-
     // Same removal as retire(), minus the AppRecord: the app is in
     // flight to its target board, not finished — the record is produced
-    // by the board that retires it.
-    std::uint32_t idx = _liveIndex[id];
-    _liveIndex[id] = kNoLiveIndex;
-    _live.erase(_live.begin() + idx);
-    ++_liveEpoch;
-    for (std::size_t i = idx; i < _live.size(); ++i)
-        _liveIndex[_live[i]->id()] = static_cast<std::uint32_t>(i);
-    countSample(_ctrLiveApps, static_cast<double>(_live.size()));
-    auto owner = std::find_if(
-        _apps.begin(), _apps.end(),
-        [&](const std::unique_ptr<AppInstance> &p) { return p.get() == app; });
-    if (owner == _apps.end())
-        panic("extracting unowned app instance");
-    _apps.erase(owner);
+    // by the board that retires it. The instance is destroyed, not
+    // pooled.
+    removeLive(*app);
     requestPass(SchedEvent::AppDone);
     return ck;
 }
@@ -1236,28 +1243,14 @@ Hypervisor::extractCheckpoint(AppInstanceId id)
 AppInstanceId
 Hypervisor::admitCheckpoint(const AppCheckpoint &ck)
 {
-    AppInstanceId id = _nextAppId++;
-    auto inst = std::make_unique<AppInstance>(id, ck.spec, ck.batch,
-                                              ck.priority, ck.arrival,
-                                              ck.eventIndex);
+    auto inst = std::make_unique<AppInstance>(_nextAppId++, ck.spec,
+                                              ck.batch, ck.priority,
+                                              ck.arrival, ck.eventIndex);
     inst->restoreFromCheckpoint(ck);
     inst->noteMigration();
-    if (_liveIndex.size() <= id) {
-        _liveIndex.resize(id + 1, kNoLiveIndex);
-        _appNameId.resize(id + 1, kNameNone);
-    }
-    _liveIndex[id] = static_cast<std::uint32_t>(_live.size());
-    inst->setBitstreamNameId(
-        _fabric.internBitstreamName(inst->spec().name()));
-    _live.push_back(inst.get());
-    ++_liveEpoch;
-    _apps.push_back(std::move(inst));
     ++_stats.appsMigratedIn;
-    countSample(_ctrLiveApps, static_cast<double>(_live.size()));
-    if (_started && _cfg.elideIdleTicks && !_tick->running())
-        _tick->startAligned();
-    AppInstance &app = *_live.back();
-    _scheduler.onAppAdmitted(app);
+    AppInstance &app = addLive(std::move(inst));
+    AppInstanceId id = app.id();
     if (app.done()) {
         // Every item had completed when the checkpoint was cut (a task
         // can be preempted at itemsDone == batch before completeTask
@@ -1325,7 +1318,19 @@ Hypervisor::runPass(SchedEvent reason)
     // Clear first so a synchronous requestPass from inside the body
     // (e.g. a preemption honored immediately) re-dirties and sticks.
     _stateDirty = false;
+    // Serve the marks made since the previous executed pass began, in
+    // liveApps() order. Marks made from here on, this pass's own
+    // configure attempts included, go to the next pass. The swap leaves
+    // _readyMarks empty: _readyChanged is cleared after every pass.
+    _readyChanged.swap(_readyMarks);
+    for (AppInstance *app : _readyChanged)
+        app->setReadyMarked(false);
+    std::sort(_readyChanged.begin(), _readyChanged.end(),
+              [](const AppInstance *a, const AppInstance *b) {
+                  return a->admitSeq() < b->admitSeq();
+              });
     _scheduler.pass(reason);
+    _readyChanged.clear();
     _inPass = false;
 
     rescueStallIfNeeded();

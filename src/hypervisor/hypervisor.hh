@@ -372,7 +372,16 @@ class Hypervisor : public SchedulerOps
     Fabric &fabric() override { return _fabric; }
     const std::vector<AppInstance *> &liveApps() override { return _live; }
     std::uint64_t liveAppsEpoch() const override { return _liveEpoch; }
-    AppInstance *findApp(AppInstanceId id) override;
+    const std::vector<AppInstance *> &
+    readyChangedApps() override
+    {
+        return _readyChanged;
+    }
+    AppInstance *
+    findApp(AppInstanceId id) override
+    {
+        return id < _owned.size() ? _owned[id].get() : nullptr;
+    }
     bool configure(AppInstance &app, TaskId task, SlotId slot) override;
     bool preempt(SlotId slot) override;
     SimTime estimatedSingleSlotLatency(AppInstance &app) override;
@@ -482,6 +491,34 @@ class Hypervisor : public SchedulerOps
     void retire(AppInstance &app);
 
     /**
+     * Take ownership of a newly admitted or readmitted instance: index
+     * it by id, append it to the live set, mark its readiness changed,
+     * restart a parked tick and tell the scheduler.
+     */
+    AppInstance &addLive(std::unique_ptr<AppInstance> inst);
+
+    /**
+     * Tell the scheduler @p app is gone and drop it from the live set
+     * and the readiness lists (retire and extractCheckpoint).
+     *
+     * @return The instance's owner, for pooling or destruction.
+     */
+    std::unique_ptr<AppInstance> removeLive(AppInstance &app);
+
+    /**
+     * Put @p app on the readiness-change list served to the next
+     * executed pass (at most once; see readyChangedApps()).
+     */
+    void
+    markReadyChanged(AppInstance &app)
+    {
+        if (app.readyMarked())
+            return;
+        app.setReadyMarked(true);
+        _readyMarks.push_back(&app);
+    }
+
+    /**
      * Dead-state rescue: if nothing can ever make progress again (no item
      * executing, CAP idle, no free slot, every occupied slot waiting),
      * force-preempt the waiting task latest in topological order so its
@@ -528,20 +565,27 @@ class Hypervisor : public SchedulerOps
     HypervisorConfig _cfg;
     BufferManager _buffers;
 
-    std::vector<std::unique_ptr<AppInstance>> _apps; //!< Owned, live only.
-    std::vector<AppInstance *> _live;                //!< Arrival order.
+    /**
+     * Owner of every live instance, indexed by AppInstanceId (ids are
+     * monotonic, or recycled with pooled instances, so the table stays
+     * dense); null for ids with no live instance.
+     */
+    std::vector<std::unique_ptr<AppInstance>> _owned;
+    /** Admission order: AppInstance::admitSeq() strictly increases. */
+    std::vector<AppInstance *> _live;
     std::uint64_t _liveEpoch = 0; //!< Bumped on every _live mutation.
+    std::uint64_t _nextAdmitSeq = 0;
     AppInstanceId _nextAppId = 1;
 
-    /** Sentinel in _liveIndex for ids with no live instance. */
-    static constexpr std::uint32_t kNoLiveIndex = 0xffffffffu;
-
+    /** Apps marked since the last executed pass began, in mark order. */
+    std::vector<AppInstance *> _readyMarks;
     /**
-     * AppInstanceId -> index into _live (ids are monotonic, so a flat
-     * vector beats a map). Retired ids hold kNoLiveIndex, making
-     * findApp() an O(1) probe instead of a linear scan per callback.
+     * The executing pass's readiness delta (readyChangedApps()): the
+     * marks taken at pass start, in admission order; empty between
+     * passes. Both lists hold live apps only, each at most once, and
+     * are kept at _live's capacity so marking never allocates.
      */
-    std::vector<std::uint32_t> _liveIndex;
+    std::vector<AppInstance *> _readyChanged;
 
     /** AppInstanceId -> interned timeline name (lazy; kNameNone until). */
     std::vector<NameId> _appNameId;

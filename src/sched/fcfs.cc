@@ -4,26 +4,19 @@
 
 namespace nimblock {
 
-bool
-FcfsScheduler::isQueued(AppInstanceId app, TaskId task) const
-{
-    for (std::size_t i = _head; i < _fifo.size(); ++i) {
-        if (_fifo[i].app == app && _fifo[i].task == task)
-            return true;
-    }
-    return false;
-}
-
 void
 FcfsScheduler::enqueueNewlyReady()
 {
-    // Scan applications in arrival order so same-pass readiness ties keep
+    // The delta is in arrival order, so same-pass readiness ties keep
     // arrival order, matching "selected in the order that they arrived".
-    for (AppInstance *app : ops().liveApps()) {
+    for (AppInstance *app : ops().readyChangedApps()) {
         app->configurableTasksInto(_taskScratch, /*pipelined=*/false);
         for (TaskId t : _taskScratch) {
-            if (!isQueued(app->id(), t))
-                _fifo.push_back(ReadyTask{app->id(), t});
+            TaskRunState &st = app->taskState(t);
+            if (st.queued)
+                continue;
+            st.queued = true;
+            _fifo.push_back(ReadyTask{app->id(), t});
         }
     }
 }
@@ -59,6 +52,7 @@ FcfsScheduler::pass(SchedEvent reason)
         if (slot == kSlotNone)
             break;
         popFront();
+        app->taskState(head.task).queued = false;
         ops().configure(*app, head.task, slot);
     }
 }
@@ -66,6 +60,10 @@ FcfsScheduler::pass(SchedEvent reason)
 void
 FcfsScheduler::onAppRetired(AppInstance &app)
 {
+    // Pooling recycles ids: a stale entry would alias the id's next
+    // owner. Only an app with a queued task has entries to drop.
+    if (!app.hasQueuedTask())
+        return;
     _fifo.erase(std::remove_if(_fifo.begin() +
                                    static_cast<std::ptrdiff_t>(_head),
                                _fifo.end(),

@@ -43,8 +43,9 @@ class FcfsScheduler : public Scheduler
         _fifo.reserve(std::max<std::size_t>(4 * n, 256));
     }
 
-    /** No tokens, no clock: re-running a pass on unchanged state only
-        re-derives the same FIFO (isQueued dedup) and placements. */
+    /** No tokens, no clock: re-running a pass on unchanged state finds
+        no readiness change to enqueue and re-derives the same
+        placements. */
     bool passIsPure() const override { return true; }
 
   private:
@@ -54,11 +55,12 @@ class FcfsScheduler : public Scheduler
         TaskId task;
     };
 
-    /** Append tasks that became ready since the last pass. */
+    /**
+     * Append tasks that became ready since the last pass: the unqueued
+     * configurable tasks of the hypervisor's readiness delta. Every
+     * other live app's configurable tasks are already in the FIFO.
+     */
     void enqueueNewlyReady();
-
-    /** True when (app, task) is already in the FIFO. */
-    bool isQueued(AppInstanceId app, TaskId task) const;
 
     /** Drop the FIFO head (keeps storage; compacts opportunistically). */
     void popFront();

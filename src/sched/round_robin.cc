@@ -4,18 +4,6 @@
 
 namespace nimblock {
 
-bool
-RoundRobinScheduler::isQueued(AppInstanceId app, TaskId task) const
-{
-    for (const auto &q : _queues) {
-        for (const auto &entry : q) {
-            if (entry.app == app && entry.task == task)
-                return true;
-        }
-    }
-    return false;
-}
-
 std::size_t
 RoundRobinScheduler::pickQueue()
 {
@@ -64,11 +52,13 @@ RoundRobinScheduler::drainQuarantinedQueues()
 void
 RoundRobinScheduler::issueReadyTasks()
 {
-    for (AppInstance *app : ops().liveApps()) {
+    for (AppInstance *app : ops().readyChangedApps()) {
         app->configurableTasksInto(_taskScratch, /*pipelined=*/false);
         for (TaskId t : _taskScratch) {
-            if (isQueued(app->id(), t))
+            TaskRunState &st = app->taskState(t);
+            if (st.queued)
                 continue;
+            st.queued = true;
             std::size_t q = pickQueue();
             _queues[q].push_back(QueuedTask{app->id(), t,
                                             app->priorityValue(),
@@ -77,22 +67,28 @@ RoundRobinScheduler::issueReadyTasks()
     }
 }
 
-bool
-RoundRobinScheduler::popBest(std::size_t q, QueuedTask &out)
+AppInstance *
+RoundRobinScheduler::popBest(std::size_t q, TaskId &task)
 {
     auto &queue = _queues[q];
-    if (queue.empty())
-        return false;
-    auto best = queue.begin();
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-        if (it->priority > best->priority ||
-            (it->priority == best->priority && it->seq < best->seq)) {
-            best = it;
+    while (!queue.empty()) {
+        auto best = queue.begin();
+        for (auto it = queue.begin(); it != queue.end(); ++it) {
+            if (it->priority > best->priority ||
+                (it->priority == best->priority && it->seq < best->seq)) {
+                best = it;
+            }
         }
+        QueuedTask picked = *best;
+        queue.erase(best);
+        if (AppInstance *app = ops().findApp(picked.app)) {
+            task = picked.task;
+            app->taskState(task).queued = false;
+            return app;
+        }
+        // Owner retired; drop the stale entry.
     }
-    out = *best;
-    queue.erase(best);
-    return true;
+    return nullptr;
 }
 
 void
@@ -112,12 +108,9 @@ RoundRobinScheduler::pass(SchedEvent reason)
         if (!slot.isFree())
             continue;
         bool placed = false;
-        QueuedTask picked;
-        while (popBest(slot.id(), picked)) {
-            AppInstance *app = ops().findApp(picked.app);
-            if (!app)
-                continue; // Owner retired; drop the stale entry.
-            if (ops().configure(*app, picked.task, slot.id())) {
+        TaskId task = kTaskNone;
+        while (AppInstance *app = popBest(slot.id(), task)) {
+            if (ops().configure(*app, task, slot.id())) {
                 placed = true;
                 break;
             }
@@ -139,11 +132,9 @@ RoundRobinScheduler::pass(SchedEvent reason)
                 longest_len = _queues[q].size();
             }
         }
-        while (longest_len > 1 && popBest(longest, picked)) {
-            AppInstance *app = ops().findApp(picked.app);
-            if (!app)
-                continue;
-            if (ops().configure(*app, picked.task, slot.id()))
+        while (longest_len > 1) {
+            AppInstance *app = popBest(longest, task);
+            if (!app || ops().configure(*app, task, slot.id()))
                 break;
         }
     }
@@ -152,6 +143,10 @@ RoundRobinScheduler::pass(SchedEvent reason)
 void
 RoundRobinScheduler::onAppRetired(AppInstance &app)
 {
+    // Pooling recycles ids: a stale entry would alias the id's next
+    // owner. Only an app with a queued task has entries to drop.
+    if (!app.hasQueuedTask())
+        return;
     for (auto &q : _queues) {
         q.erase(std::remove_if(q.begin(), q.end(),
                                [&](const QueuedTask &e) {

@@ -42,7 +42,11 @@ class RoundRobinScheduler : public Scheduler
         std::uint64_t seq; //!< Issue order for FIFO within a priority.
     };
 
-    /** Issue newly ready tasks to slot queues. */
+    /**
+     * Issue newly ready tasks to slot queues: the unqueued configurable
+     * tasks of the hypervisor's readiness delta. Every other live app's
+     * configurable tasks are already queued.
+     */
     void issueReadyTasks();
 
     /** Queue index with the fewest waiting tasks (round-robin ties). */
@@ -56,11 +60,14 @@ class RoundRobinScheduler : public Scheduler
      */
     void drainQuarantinedQueues();
 
-    /** Pop the highest-priority (then oldest) entry of queue @p q. */
-    bool popBest(std::size_t q, QueuedTask &out);
-
-    /** True when (app, task) is already queued somewhere. */
-    bool isQueued(AppInstanceId app, TaskId task) const;
+    /**
+     * Pop the highest-priority (then oldest) entry of queue @p q into
+     * @p task and clear its queued flag. Entries whose owner retired are
+     * dropped on the way.
+     *
+     * @return The entry's app, or nullptr once the queue is empty.
+     */
+    AppInstance *popBest(std::size_t q, TaskId &task);
 
     std::vector<std::vector<QueuedTask>> _queues; //!< One per slot.
     std::size_t _rrNext = 0;

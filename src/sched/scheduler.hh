@@ -76,6 +76,25 @@ class SchedulerOps
      */
     virtual std::uint64_t liveAppsEpoch() const = 0;
 
+    /**
+     * Readiness delta for the current pass: each live app that, since
+     * the previous executed pass started, was admitted, finished an
+     * item, had a configure() attempt (accepted or rejected), was
+     * preempted, lost an aborted placement or was requeued — once, in
+     * liveApps() order. Only those events can add a task to an app's
+     * configurable set, so an app left out gained no configurable task
+     * since that pass ended, and none of its tasks was handed to
+     * configure() during it. A scheduler that queued every configurable
+     * task in the previous pass only needs to walk this list. Read it
+     * from inside pass(). The default serves every live app, which
+     * meets the contract in O(live).
+     */
+    virtual const std::vector<AppInstance *> &
+    readyChangedApps()
+    {
+        return liveApps();
+    }
+
     /** Look up a live app by id; nullptr when absent/retired. */
     virtual AppInstance *findApp(AppInstanceId id) = 0;
 

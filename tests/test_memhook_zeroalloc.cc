@@ -285,7 +285,9 @@ TEST(MemhookZeroAlloc, SoakSteadyWindowAllocatesNothing)
     // weighted tenant pick, pooled submit via submitSpec, retire into
     // HDR histogram + rolling SLA windows. Once the instance pools have
     // absorbed the initial churn (warmup by retirements), an arbitrarily
-    // long steady window must count zero allocations.
+    // long steady window must count zero allocations. Both readers of
+    // the readiness delta run: recycled ids and the queued flags that
+    // reinit() resets go through fcfs's FIFO and rr's slot queues.
     GraphBuilder b;
     TaskSpec t;
     t.name = "soak_mh_k";
@@ -297,65 +299,69 @@ TEST(MemhookZeroAlloc, SoakSteadyWindowAllocatesNothing)
         std::make_shared<AppSpec>("soak_mh", "soak_mh", b.build());
     tenants[0].users = 1000;
 
-    SoakConfig cfg;
-    cfg.cluster.numBoards = 2;
-    cfg.cluster.board.scheduler = "fcfs";
-    cfg.cluster.board.hypervisor.allowReconfigSkip = true;
-    // Offer 1.2x the 2x10-slot service rate so the boards stay saturated
-    // and the queue-depth gate sheds inside the window too.
-    cfg.arrivals.ratePerSec = 1.2 * 2 * 10 / 0.010;
-    cfg.horizon = simtime::sec(30);
-    cfg.admission.policy = AdmissionPolicy::QueueDepth;
-    cfg.admission.queueDepthCap = 32;
-    cfg.appPoolSize = 64;
+    for (const char *scheduler : {"fcfs", "rr"}) {
+        SCOPED_TRACE(scheduler);
+        SoakConfig cfg;
+        cfg.cluster.numBoards = 2;
+        cfg.cluster.board.scheduler = scheduler;
+        cfg.cluster.board.hypervisor.allowReconfigSkip = true;
+        // Offer 1.2x the 2x10-slot service rate so the boards stay
+        // saturated and the queue-depth gate sheds inside the window
+        // too.
+        cfg.arrivals.ratePerSec = 1.2 * 2 * 10 / 0.010;
+        cfg.horizon = simtime::sec(30);
+        cfg.admission.policy = AdmissionPolicy::QueueDepth;
+        cfg.admission.queueDepthCap = 32;
+        cfg.appPoolSize = 64;
 
-    SoakEngine engine(cfg, tenants, Rng(2023));
-    engine.start();
+        SoakEngine engine(cfg, tenants, Rng(2023));
+        engine.start();
 
-    // Same pre-step snapshot discipline as bench_soak: the window never
-    // includes the step that closes it.
-    constexpr std::uint64_t kWarmupRetired = 8 * 32;
-    constexpr std::uint64_t kTargetEvents = 20000;
-    bool window_open = false, window_done = false;
-    std::uint64_t window_start_fired = 0;
-    std::uint64_t pre_allocs = 0, pre_bytes = 0, pre_fired = 0;
-    WindowResult r;
-    for (;;) {
-        if (window_open) {
-            pre_allocs = memhook::allocCount();
-            pre_bytes = memhook::allocBytes();
-            pre_fired = engine.queue().firedCount();
+        // Same pre-step snapshot discipline as bench_soak: the window
+        // never includes the step that closes it.
+        constexpr std::uint64_t kWarmupRetired = 8 * 32;
+        constexpr std::uint64_t kTargetEvents = 20000;
+        bool window_open = false, window_done = false;
+        std::uint64_t window_start_fired = 0;
+        std::uint64_t pre_allocs = 0, pre_bytes = 0, pre_fired = 0;
+        WindowResult r;
+        for (;;) {
+            if (window_open) {
+                pre_allocs = memhook::allocCount();
+                pre_bytes = memhook::allocBytes();
+                pre_fired = engine.queue().firedCount();
+            }
+            if (!engine.step())
+                break;
+            if (!window_open && !window_done &&
+                engine.retired() >= kWarmupRetired && engine.pumping()) {
+                window_open = true;
+                window_start_fired = engine.queue().firedCount();
+                memhook::reset();
+                memhook::setEnabled(true);
+            } else if (window_open &&
+                       (pre_fired - window_start_fired >= kTargetEvents ||
+                        !engine.pumping())) {
+                memhook::setEnabled(false);
+                window_open = false;
+                window_done = true;
+                r.events = pre_fired - window_start_fired;
+                r.allocs = pre_allocs;
+                r.bytes = pre_bytes;
+            }
         }
-        if (!engine.step())
-            break;
-        if (!window_open && !window_done &&
-            engine.retired() >= kWarmupRetired && engine.pumping()) {
-            window_open = true;
-            window_start_fired = engine.queue().firedCount();
-            memhook::reset();
-            memhook::setEnabled(true);
-        } else if (window_open &&
-                   (pre_fired - window_start_fired >= kTargetEvents ||
-                    !engine.pumping())) {
-            memhook::setEnabled(false);
-            window_open = false;
-            window_done = true;
-            r.events = pre_fired - window_start_fired;
-            r.allocs = pre_allocs;
-            r.bytes = pre_bytes;
-        }
+        memhook::setEnabled(false);
+        ASSERT_TRUE(window_done) << "soak steady window never opened";
+
+        SoakStats s = engine.finish();
+        EXPECT_EQ(s.submitted, s.admitted + s.shed);
+        EXPECT_EQ(s.retired, s.admitted);
+        EXPECT_GT(s.shed, 0u) << "window should span admission shedding too";
+        EXPECT_GE(r.events, kTargetEvents);
+        EXPECT_EQ(r.allocs, 0u)
+            << "soak steady window allocated " << r.allocs << " times ("
+            << r.bytes << " bytes) over " << r.events << " events";
     }
-    memhook::setEnabled(false);
-    ASSERT_TRUE(window_done) << "soak steady window never opened";
-
-    SoakStats s = engine.finish();
-    EXPECT_EQ(s.submitted, s.admitted + s.shed);
-    EXPECT_EQ(s.retired, s.admitted);
-    EXPECT_GT(s.shed, 0u) << "window should span admission shedding too";
-    EXPECT_GE(r.events, kTargetEvents);
-    EXPECT_EQ(r.allocs, 0u)
-        << "soak steady window allocated " << r.allocs << " times ("
-        << r.bytes << " bytes) over " << r.events << " events";
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the gym-style policy layer: observation layout and
  * determinism, the 128-bit estimatedRemaining fix, golden byte-identity
- * of the PREMA/Nimblock feature-sourcing refactor, the learned
+ * of the PREMA/Nimblock feature-sourcing refactor and of the FCFS/RR
+ * readiness-delta refactor, the learned
  * scheduler's behavior, and the binary decision-trace round trip.
  */
 
@@ -181,6 +182,14 @@ TEST_F(PolicyTest, RefactoredSchedulersMatchPreRefactorGoldens)
         {"nimblock", Scenario::Standard, 0x3bb059ec97331cb9ull},
         {"nimblock", Scenario::Stress, 0xd7e31e7fbca8224full},
         {"nimblock", Scenario::RealTime, 0xdd89fcaa807e816bull},
+        // Recorded before fcfs and rr switched from rescanning every live
+        // app to the hypervisor's readiness delta.
+        {"fcfs", Scenario::Standard, 0x017faecd1f23bd73ull},
+        {"fcfs", Scenario::Stress, 0x51356d2f50adc1caull},
+        {"fcfs", Scenario::RealTime, 0x7613030bedf1c860ull},
+        {"rr", Scenario::Standard, 0x420feaf038e91675ull},
+        {"rr", Scenario::Stress, 0x9c724971549ee29bull},
+        {"rr", Scenario::RealTime, 0x7f320f04dc03ed3cull},
     };
     for (const GoldenCase &c : cases) {
         EXPECT_EQ(runDigest(c.sched, c.scenario), c.digest)

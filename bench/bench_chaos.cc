@@ -19,17 +19,16 @@
  * Results are also written as BENCH_chaos.json (override with --json
  * PATH) for the CI bench-smoke artifact.
  *
- *   bench_chaos [--events N] [--seed S] [--faas-sec T] [--json PATH]
- *               [--quick]
+ * `bench_chaos --help` lists the flags and their defaults.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hh"
+#include "common.hh"
 #include "core/simulation.hh"
 #include "faas/service.hh"
 #include "metrics/analysis.hh"
@@ -48,37 +47,6 @@ struct Options
     double faasSec = 10.0;
     std::string jsonPath = "BENCH_chaos.json";
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events")
-            o.events = std::atoi(next());
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--faas-sec")
-            o.faasSec = std::atof(next());
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--quick") {
-            o.events = 6;
-            o.faasSec = 4.0;
-        } else {
-            fatal("unknown flag '%s'", arg.c_str());
-        }
-    }
-    if (o.events < 2 || o.faasSec <= 0)
-        fatal("need at least 2 events and a positive FaaS duration");
-    return o;
-}
 
 /** The failure model at one sweep point. */
 FaultConfig
@@ -207,7 +175,20 @@ writeJson(const std::string &path, const std::vector<ChaosPoint> &points,
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlagsOrExit(
+        argc, argv,
+        {{"--events", &opts.events, "workload events", 2},
+         {"--seed", &opts.seed, "workload and fault seed"},
+         {"--faas-sec", &opts.faasSec, "FaaS deployment run in seconds",
+          bench::kPositive},
+         {"--json", &opts.jsonPath, "results file"},
+         {"--quick",
+          [&opts] {
+              opts.events = 6;
+              opts.faasSec = 4.0;
+          },
+          "6 events and a 4 s FaaS run"}});
     setQuiet(true);
 
     AppRegistry registry = standardRegistry();

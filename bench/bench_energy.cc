@@ -21,17 +21,17 @@
  * Results are also written as BENCH_energy.json (override with --json
  * PATH) for the CI bench-smoke artifact.
  *
- *   bench_energy [--events N] [--seed S] [--json PATH] [--quick]
+ * `bench_energy --help` lists the flags and their defaults.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hh"
+#include "common.hh"
 #include "core/simulation.hh"
 #include "metrics/analysis.hh"
 #include "metrics/fairness.hh"
@@ -48,33 +48,6 @@ struct Options
     std::uint64_t seed = 2023;
     std::string jsonPath = "BENCH_energy.json";
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events")
-            o.events = std::atoi(next());
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--quick")
-            o.events = 8;
-        else
-            fatal("unknown flag '%s'", arg.c_str());
-    }
-    if (o.events < 4)
-        fatal("need at least 4 events");
-    return o;
-}
 
 /** A named fabric layout for the sweep. */
 struct FabricCell
@@ -278,7 +251,13 @@ writeJson(const std::string &path, const std::vector<EnergyPoint> &points,
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlagsOrExit(
+        argc, argv,
+        {{"--events", &opts.events, "arrivals per workload", 4},
+         {"--seed", &opts.seed, "workload seed"},
+         {"--json", &opts.jsonPath, "results file"},
+         {"--quick", [&opts] { opts.events = 8; }, "8 events"}});
     setQuiet(true);
 
     AppRegistry registry = standardRegistry();

@@ -39,7 +39,7 @@ perturbedRegistry(const AppRegistry &base, double error, Rng &rng)
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
     BenchEnv env(opts);
     printHeader("Robustness to HLS estimate error (stress workload)",
                 opts);

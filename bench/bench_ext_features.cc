@@ -79,7 +79,7 @@ const Variant kVariants[] = {
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
     BenchEnv env(opts);
     printHeader("Extension ablations (stress workload, nimblock)", opts);
 

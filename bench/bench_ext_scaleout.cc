@@ -22,7 +22,7 @@ using namespace nimblock::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
     BenchEnv env(opts);
     printHeader("Extension: multi-FPGA scale-out (stress workload, "
                 "nimblock per board)", opts);

@@ -22,7 +22,7 @@ using namespace nimblock::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
     BenchEnv env(opts);
     printHeader("Figure 5: average relative response-time reduction", opts);
 

@@ -77,7 +77,7 @@ estimateTail(const ReductionStats &stats, std::vector<EventComparison> cmp,
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
     BenchEnv env(opts);
     printHeader(opts.hdrTail
                     ? "Figure 6: tail response-time reduction (p95/p99, "

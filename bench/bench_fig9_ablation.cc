@@ -20,7 +20,7 @@ using namespace nimblock::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
     BenchEnv env(opts);
     printHeader("Figure 9: ablation — response time normalized to full "
                 "Nimblock (stress, fixed batch)", opts);

@@ -22,18 +22,17 @@
  * (override with --json PATH) for the CI bench-smoke artifact, which
  * asserts the rebalanced p99 beats dispatch-only in both scenarios.
  *
- *   bench_migration [--events N] [--seed S] [--json PATH]
- *                   [--dispatch P] [--quick]
+ * `bench_migration --help` lists the flags and their defaults.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hh"
 #include "cluster/cluster.hh"
+#include "common.hh"
 #include "sim/logging.hh"
 #include "stats/summary.hh"
 
@@ -50,64 +49,24 @@ struct Options
     std::string dispatch;
 };
 
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events")
-            o.events = std::atoi(next());
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--dispatch") {
-            o.dispatch = next();
-            DispatchPolicy p;
-            if (!tryParseDispatchPolicy(o.dispatch.c_str(), p)) {
-                std::string valid;
-                for (const std::string &name : dispatchPolicyNames())
-                    valid += (valid.empty() ? "" : ", ") + name;
-                std::fprintf(stderr,
-                             "unknown dispatch policy '%s'; valid: %s\n",
-                             o.dispatch.c_str(), valid.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--quick") {
-            o.events = 8;
-        } else {
-            fatal("unknown flag '%s'", arg.c_str());
-        }
-    }
-    if (o.events < 4)
-        fatal("need at least 4 events");
-    return o;
-}
-
-enum class Scenario
+enum class MigrationScenario
 {
     Skew,
     Fault,
 };
 
 const char *
-toString(Scenario s)
+toString(MigrationScenario s)
 {
-    return s == Scenario::Skew ? "skew" : "fault";
+    return s == MigrationScenario::Skew ? "skew" : "fault";
 }
 
 /** The per-scenario dispatch policy the skew/strand story needs. */
 DispatchPolicy
-scenarioDispatch(Scenario s)
+scenarioDispatch(MigrationScenario s)
 {
-    return s == Scenario::Skew ? DispatchPolicy::RoundRobin
-                               : DispatchPolicy::LeastLoaded;
+    return s == MigrationScenario::Skew ? DispatchPolicy::RoundRobin
+                                        : DispatchPolicy::LeastLoaded;
 }
 
 /** "off" plus the two rebalance policies. */
@@ -125,14 +84,14 @@ rebalanceName(int mode)
 }
 
 std::vector<WorkloadEvent>
-makeEvents(Scenario scenario, int count)
+makeEvents(MigrationScenario scenario, int count)
 {
     std::vector<WorkloadEvent> events;
     events.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
         WorkloadEvent e;
         e.index = i;
-        if (scenario == Scenario::Skew) {
+        if (scenario == MigrationScenario::Skew) {
             // Heavy apps at even indices: with two boards, round-robin
             // dispatch sends all of them to board 0.
             // alexnet's wide stages use many slots at once, so a stolen
@@ -165,7 +124,7 @@ makeEvents(Scenario scenario, int count)
 struct MigrationPoint
 {
     std::string scheduler;
-    Scenario scenario = Scenario::Skew;
+    MigrationScenario scenario = MigrationScenario::Skew;
     std::string dispatch;
     std::string rebalance;
     double p50Sec = 0;
@@ -180,7 +139,7 @@ struct MigrationPoint
 
 MigrationPoint
 runCell(const AppRegistry &registry, const std::string &scheduler,
-        Scenario scenario, int rebalance_mode, const Options &opts)
+        MigrationScenario scenario, int rebalance_mode, const Options &opts)
 {
     std::vector<WorkloadEvent> events = makeEvents(scenario, opts.events);
 
@@ -190,7 +149,7 @@ runCell(const AppRegistry &registry, const std::string &scheduler,
     cfg.dispatch = opts.dispatch.empty()
                        ? scenarioDispatch(scenario)
                        : parseDispatchPolicy(opts.dispatch.c_str());
-    if (scenario == Scenario::Fault) {
+    if (scenario == MigrationScenario::Fault) {
         // Injector armed with all rates zero: the only faults are the
         // forced persistent ones below, so the run stays deterministic.
         cfg.board.faults.enabled = true;
@@ -216,7 +175,7 @@ runCell(const AppRegistry &registry, const std::string &scheduler,
                         cluster.submit(registry, e);
                     });
     }
-    if (scenario == Scenario::Fault) {
+    if (scenario == MigrationScenario::Fault) {
         eq.schedule(simtime::ms(500), "board_fault", [&cluster, &cfg] {
             for (std::size_t s = 0; s < cfg.board.fabric.numSlots; ++s)
                 cluster.injector(0)->forcePersistentFault(
@@ -310,7 +269,16 @@ writeJson(const std::string &path,
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlagsOrExit(
+        argc, argv,
+        {{"--events", &opts.events, "arrivals per scenario", 4},
+         {"--seed", &opts.seed, "fault-injector seed"},
+         {"--json", &opts.jsonPath, "results file"},
+         {"--dispatch", &opts.dispatch,
+          "override every scenario's dispatch policy",
+          dispatchPolicyNames()},
+         {"--quick", [&opts] { opts.events = 8; }, "8 events"}});
     setQuiet(true);
 
     AppRegistry registry = standardRegistry();
@@ -323,7 +291,8 @@ main(int argc, char **argv)
 
     std::vector<MigrationPoint> points;
     for (const char *scheduler : {"nimblock", "prema"}) {
-        for (Scenario scenario : {Scenario::Skew, Scenario::Fault}) {
+        for (MigrationScenario scenario :
+             {MigrationScenario::Skew, MigrationScenario::Fault}) {
             for (int mode = 0; mode < 3; ++mode) {
                 MigrationPoint p =
                     runCell(registry, scheduler, scenario, mode, opts);

@@ -22,16 +22,12 @@
  * --json PATH) for the CI bench-smoke artifact and the committed
  * baseline guarded by scripts/check_bench_regression.py.
  *
- *   bench_pipeline [--events N] [--batch N] [--seed S] [--json PATH]
- *                  [--app NAME] [--sched NAME] [--quick]
- *
- * --app / --sched restrict the sweep to one row/column; unknown names
- * print the valid list and exit 2 (bench::usageErrorNames).
+ * `bench_pipeline --help` lists the flags and their defaults; --app and
+ * --sched restrict the sweep to one row/column.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -57,58 +53,6 @@ struct Options
     std::string app;
     std::string sched;
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events") {
-            o.events = std::atoi(next());
-        } else if (arg == "--batch") {
-            o.batch = std::atoi(next());
-        } else if (arg == "--spacing-ms") {
-            o.spacingMs = std::atoi(next());
-        } else if (arg == "--seed") {
-            o.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--json") {
-            o.jsonPath = next();
-        } else if (arg == "--app") {
-            o.app = next();
-            if (!tryMakeApp(o.app))
-                bench::usageErrorNames("application", o.app, appNames());
-        } else if (arg == "--sched") {
-            o.sched = next();
-            if (!tryMakeScheduler(o.sched))
-                bench::usageErrorNames("scheduler", o.sched,
-                                       schedulerNames());
-        } else if (arg == "--quick") {
-            o.events = 5;
-            o.batch = 4;
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("flags: --events N --batch N --spacing-ms N "
-                        "--seed S --json PATH --app NAME --sched NAME "
-                        "--quick\n");
-            std::exit(0);
-        } else {
-            fatal("unknown flag '%s'", arg.c_str());
-        }
-    }
-    if (o.events < 1)
-        fatal("--events must be positive");
-    if (o.batch < 2)
-        fatal("--batch must be at least 2 (a single-item batch never "
-              "primes the pipeline)");
-    if (o.spacingMs < 0)
-        fatal("--spacing-ms must be non-negative");
-    return o;
-}
 
 /** One (app, scheduler, mode) measurement. */
 struct PipelinePoint
@@ -201,13 +145,36 @@ writeJson(const std::string &path, const std::vector<PipelinePoint> &points,
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    std::vector<AppSpecPtr> apps = library::all();
+    std::vector<std::string> app_names;
+    for (const AppSpecPtr &spec : apps)
+        app_names.push_back(spec->name());
+
+    Options opts;
+    bench::parseFlagsOrExit(
+        argc, argv,
+        {{"--events", &opts.events, "arrivals per cell", 1},
+         {"--batch", &opts.batch,
+          "items per arrival (one item never primes the pipeline)", 2},
+         {"--spacing-ms", &opts.spacingMs, "milliseconds between arrivals",
+          0},
+         {"--seed", &opts.seed, "seed recorded in the results"},
+         {"--json", &opts.jsonPath, "results file"},
+         {"--app", &opts.app, "restrict the sweep to one library app",
+          app_names},
+         {"--sched", &opts.sched, "restrict the sweep to one scheduler",
+          schedulerNames()},
+         {"--quick",
+          [&opts] {
+              opts.events = 5;
+              opts.batch = 4;
+          },
+          "5 events, batch 4"}});
     setQuiet(true);
 
     // One registry with both members of every A/B pair, so a cell is
     // just a scheduler and an app name.
     AppRegistry registry = extendedRegistry();
-    std::vector<AppSpecPtr> apps = library::all();
     for (const AppSpecPtr &spec : apps)
         registry.add(library::scalarClone(*spec));
 
@@ -250,11 +217,6 @@ main(int argc, char **argv)
             points.push_back(piped);
         }
     }
-
-    if (points.empty())
-        fatal("--app '%s' is not a library app (library apps: hash_tree, "
-              "video_transcode, transformer_block)",
-              opts.app.c_str());
 
     writeJson(opts.jsonPath, points, opts);
     std::printf("# wrote %s (%llu runs)\n", opts.jsonPath.c_str(),

@@ -49,7 +49,7 @@ meanSlowdown(const BenchEnv &env, const SystemConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
+    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
     BenchEnv env(opts);
     printHeader("Sensitivity sweeps (stress workload, nimblock)", opts);
 

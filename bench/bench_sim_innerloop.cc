@@ -20,21 +20,19 @@
  * Results are also written as BENCH_innerloop.json (override with
  * --json PATH) for the CI bench-smoke artifact.
  *
- *   bench_sim_innerloop [--events N] [--seed S] [--reps R] [--json PATH]
+ * `bench_sim_innerloop --help` lists the flags and their defaults.
  */
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hh"
+#include "common.hh"
 #include "core/config.hh"
 #include "core/grid_context.hh"
 #include "core/memhook.hh"
@@ -60,46 +58,6 @@ struct Options
     EventQueueImpl impl = EventQueueImpl::Auto;
     bool elide = true;
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--events")
-            o.events = std::atoi(next());
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--reps")
-            o.reps = std::atoi(next());
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--impl") {
-            std::string v = next();
-            if (v == "wheel")
-                o.impl = EventQueueImpl::Wheel;
-            else if (v == "heap")
-                o.impl = EventQueueImpl::Heap;
-            else if (v == "auto")
-                o.impl = EventQueueImpl::Auto;
-            else
-                fatal("--impl must be 'wheel', 'heap' or 'auto', got '%s'",
-                      v.c_str());
-        } else if (arg == "--no-elide")
-            o.elide = false;
-        else
-            fatal("unknown flag '%s'", arg.c_str());
-    }
-    if (o.events < 2 || o.reps < 1)
-        fatal("need at least 2 events and 1 rep");
-    return o;
-}
 
 /** Per-scheduler measurement. */
 struct Result
@@ -127,7 +85,7 @@ struct Result
 /** One (implementation, depth) point of the queue-depth sweep. */
 struct QueueResult
 {
-    const char *impl;
+    std::string impl;
     std::size_t depth;
     std::uint64_t ops = 0;
     double wallSec = 0;
@@ -148,7 +106,7 @@ QueueResult
 runQueueSweep(EventQueueImpl impl, std::size_t depth, int reps)
 {
     QueueResult q;
-    q.impl = impl == EventQueueImpl::Wheel ? "wheel" : "heap";
+    q.impl = bench::queueImplNames()[static_cast<std::size_t>(impl)];
     q.depth = depth;
     q.ops = std::max<std::uint64_t>(4 * depth, 200000);
 
@@ -288,55 +246,19 @@ runOnce(const std::string &scheduler_name, const SystemConfig &cfg,
     return r;
 }
 
-/**
- * Recover the per-line entries of the "history" array from a previous
- * results file, so re-running the bench accumulates a dated trajectory
- * instead of overwriting it. Tolerant of a missing file or a pre-history
- * format (both yield an empty list); relies on the writer below emitting
- * one entry per line.
- */
-std::vector<std::string>
-readHistory(const std::string &path)
-{
-    std::vector<std::string> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::string line;
-    bool inside = false;
-    while (std::getline(in, line)) {
-        if (line.find("\"history\"") != std::string::npos) {
-            inside = true;
-            continue;
-        }
-        if (!inside)
-            continue;
-        if (line.find(']') != std::string::npos)
-            break;
-        std::size_t open = line.find('{');
-        std::size_t close = line.rfind('}');
-        if (open != std::string::npos && close != std::string::npos)
-            out.push_back(line.substr(open, close - open + 1));
-    }
-    return out;
-}
-
 void
 writeJson(const std::string &path, const std::vector<Result> &results,
           const std::vector<QueueResult> &queue, const Options &opts)
 {
     // Carry forward previous dated entries, then append this run.
-    std::vector<std::string> history = readHistory(path);
+    std::vector<std::string> history = bench::readHistory(path);
     {
         std::time_t now = std::time(nullptr);
         char date[32];
         std::strftime(date, sizeof(date), "%Y-%m-%d", std::localtime(&now));
         std::ostringstream entry;
-        const char *impl_name = opts.impl == EventQueueImpl::Wheel ? "wheel"
-                                : opts.impl == EventQueueImpl::Heap
-                                    ? "heap"
-                                    : "auto";
-        entry << "{\"date\": \"" << date << "\", \"impl\": \"" << impl_name
+        entry << "{\"date\": \"" << date << "\", \"impl\": \""
+              << bench::queueImplNames()[static_cast<std::size_t>(opts.impl)]
               << "\"";
         for (const Result &r : results) {
             entry << ", \"" << r.scheduler << "\": "
@@ -378,7 +300,7 @@ writeJson(const std::string &path, const std::vector<Result> &results,
                      "    {\"impl\": \"%s\", \"depth\": %zu, "
                      "\"ops\": %llu, \"wall_sec\": %.6f, "
                      "\"ops_per_sec\": %.0f}%s\n",
-                     q.impl, q.depth,
+                     q.impl.c_str(), q.depth,
                      static_cast<unsigned long long>(q.ops), q.wallSec,
                      q.opsPerSec(), i + 1 < queue.size() ? "," : "");
     }
@@ -396,7 +318,17 @@ writeJson(const std::string &path, const std::vector<Result> &results,
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlagsOrExit(
+        argc, argv,
+        {{"--events", &opts.events, "stress-sequence events", 2},
+         {"--seed", &opts.seed, "workload seed"},
+         {"--reps", &opts.reps, "repetitions per measurement (best kept)",
+          1},
+         {"--json", &opts.jsonPath, "results file"},
+         {"--impl", &opts.impl, "event queue", bench::queueImplNames()},
+         {"--no-elide", [&opts] { opts.elide = false; },
+          "run every scheduling pass (no pure-pass elision)"}});
     setQuiet(true);
 
     AppRegistry registry = standardRegistry();
@@ -451,7 +383,7 @@ main(int argc, char **argv)
         for (EventQueueImpl impl :
              {EventQueueImpl::Wheel, EventQueueImpl::Heap}) {
             QueueResult q = runQueueSweep(impl, depth, opts.reps);
-            std::printf("%-10s %12zu %12.0f\n", q.impl, q.depth,
+            std::printf("%-10s %12zu %12.0f\n", q.impl.c_str(), q.depth,
                         q.opsPerSec());
             queue.push_back(q);
         }

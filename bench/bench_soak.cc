@@ -27,17 +27,14 @@
  * Results land in BENCH_soak.json (override with --json PATH) with the
  * usual append-don't-overwrite dated history array.
  *
- *   bench_soak [--quick] [--seed S] [--json PATH] [--impl I]
- *              [--boards N] [--rate R] [--horizon-sec S]
+ * `bench_soak --help` lists the flags and their defaults.
  */
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +43,7 @@
 #include <unistd.h>
 
 #include "apps/app_spec.hh"
+#include "common.hh"
 #include "core/memhook.hh"
 #include "faas/soak.hh"
 #include "fabric/resources.hh"
@@ -69,48 +67,6 @@ struct Options
     /** Override the grid horizon; 0 keeps the per-mode default. */
     double horizonSec = 0;
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--quick")
-            o.quick = true;
-        else if (arg == "--seed")
-            o.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--json")
-            o.jsonPath = next();
-        else if (arg == "--impl") {
-            std::string v = next();
-            if (v == "wheel")
-                o.impl = EventQueueImpl::Wheel;
-            else if (v == "heap")
-                o.impl = EventQueueImpl::Heap;
-            else if (v == "auto")
-                o.impl = EventQueueImpl::Auto;
-            else
-                fatal("--impl must be 'wheel', 'heap' or 'auto', got '%s'",
-                      v.c_str());
-        } else if (arg == "--boards")
-            o.boards = static_cast<std::size_t>(std::atoi(next()));
-        else if (arg == "--rate")
-            o.rate = std::atof(next());
-        else if (arg == "--horizon-sec")
-            o.horizonSec = std::atof(next());
-        else
-            fatal("unknown flag '%s'", arg.c_str());
-    }
-    if (o.boards < 1)
-        fatal("need at least one board");
-    return o;
-}
 
 /** Single-task app: the minimal streaming kernel. */
 AppSpecPtr
@@ -329,32 +285,6 @@ printRow(const CellResult &r)
                 static_cast<double>(r.peakRssBytes) / (1 << 20));
 }
 
-std::vector<std::string>
-readHistory(const std::string &path)
-{
-    std::vector<std::string> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::string line;
-    bool inside = false;
-    while (std::getline(in, line)) {
-        if (line.find("\"history\"") != std::string::npos) {
-            inside = true;
-            continue;
-        }
-        if (!inside)
-            continue;
-        if (line.find(']') != std::string::npos)
-            break;
-        std::size_t open = line.find('{');
-        std::size_t close = line.rfind('}');
-        if (open != std::string::npos && close != std::string::npos)
-            out.push_back(line.substr(open, close - open + 1));
-    }
-    return out;
-}
-
 void
 printCellJson(FILE *f, const CellResult &r, bool last)
 {
@@ -398,7 +328,7 @@ writeJson(const std::string &path, const std::vector<CellResult> &grid,
           const CellResult &headline, const CellResult &rss1h,
           const Options &opts)
 {
-    std::vector<std::string> history = readHistory(path);
+    std::vector<std::string> history = bench::readHistory(path);
     {
         std::time_t now = std::time(nullptr);
         char date[32];
@@ -512,7 +442,18 @@ headlineTenants()
 int
 main(int argc, char **argv)
 {
-    Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::parseFlagsOrExit(
+        argc, argv,
+        {{"--quick", [&opts] { opts.quick = true; },
+          "shorter horizons and a smaller steady window"},
+         {"--seed", &opts.seed, "master seed"},
+         {"--json", &opts.jsonPath, "results file"},
+         {"--impl", &opts.impl, "event queue", bench::queueImplNames()},
+         {"--boards", &opts.boards, "headline cluster boards", 1},
+         {"--rate", &opts.rate, "grid arrivals per second (0: per mode)"},
+         {"--horizon-sec", &opts.horizonSec,
+          "grid horizon in seconds (0: per mode)"}});
     setQuiet(true);
     memhook::setEnabled(false);
 

@@ -1,9 +1,13 @@
 #include "common.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
+#include <type_traits>
 
 #include "cluster/cluster.hh"
 #include "core/parallel.hh"
@@ -17,75 +21,225 @@ namespace nimblock {
 namespace bench {
 
 namespace {
+
 /** Wall-clock anchor set by printHeader() and read by printFooter(). */
 std::chrono::steady_clock::time_point gBenchStart;
+
+std::string
+boundText(double min)
+{
+    return min == kPositive ? "> 0" : formatMessage(">= %g", min);
+}
+
+std::string
+joinNames(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const std::string &n : names)
+        out += (out.empty() ? "" : "|") + n;
+    return out;
+}
+
+/** The --help line of a value row whose field holds @p value. */
+template <class T>
+std::string
+valueLine(const Flag &row, const T &value)
+{
+    const char *meta = !row.names.empty()               ? " NAME"
+                       : std::is_same_v<T, std::string> ? " PATH"
+                       : std::is_floating_point_v<T>    ? " X"
+                                                        : " N";
+    std::string notes = !row.names.empty()     ? joinNames(row.names)
+                        : std::isfinite(row.min) ? boundText(row.min)
+                                                 : "";
+    std::string def;
+    if constexpr (std::is_same_v<T, std::string>)
+        def = value;
+    else if constexpr (std::is_enum_v<T>)
+        def = row.names[static_cast<std::size_t>(value)];
+    else if constexpr (std::is_integral_v<T>)
+        def = value >= row.min ? std::to_string(value) : "";
+    else
+        def = value >= row.min ? formatMessage("%g", value) : "";
+    if (!def.empty())
+        notes += (notes.empty() ? "default " : ", default ") + def;
+    if (!notes.empty())
+        notes = " [" + notes + "]";
+    return formatMessage("  %-20s %s%s\n",
+                         (row.name + std::string(meta)).c_str(), row.help,
+                         notes.c_str());
+}
+
+/** Parse @p text strictly into @p field under @p row's check. */
+template <class T>
+void
+store(const Flag &row, T &field, const std::string &text)
+{
+    auto valid = std::find(row.names.begin(), row.names.end(), text);
+    if (!row.names.empty() && valid == row.names.end())
+        fatal("%s must be one of %s, got '%s'", row.name,
+              joinNames(row.names).c_str(), text.c_str());
+    if constexpr (std::is_same_v<T, std::string>) {
+        field = text;
+    } else if constexpr (std::is_enum_v<T>) {
+        field = static_cast<T>(valid - row.names.begin());
+    } else {
+        const char *end = text.data() + text.size();
+        T value{};
+        auto [stop, err] = std::from_chars(text.data(), end, value);
+        if (err != std::errc() || stop != end ||
+            !std::isfinite(static_cast<double>(value))) {
+            fatal("%s expects %s in range, got '%s'", row.name,
+                  std::is_floating_point_v<T> ? "a finite number"
+                  : std::is_signed_v<T>       ? "an integer"
+                                              : "an unsigned integer",
+                  text.c_str());
+        }
+        if (value < row.min)
+            fatal("%s must be %s, got '%s'", row.name,
+                  boundText(row.min).c_str(), text.c_str());
+        field = value;
+    }
+}
+
 } // namespace
 
-void
-usageErrorNames(const char *what, const std::string &got,
-                const std::vector<std::string> &valid)
+std::string
+helpText(const char *prog, const std::vector<Flag> &flags)
 {
-    std::fprintf(stderr, "unknown %s '%s'; valid: ", what, got.c_str());
-    for (std::size_t i = 0; i < valid.size(); ++i)
-        std::fprintf(stderr, "%s%s", i ? ", " : "", valid[i].c_str());
-    std::fprintf(stderr, "\n");
-    std::exit(2);
+    std::string out = formatMessage("usage: %s [flag...]\n", prog);
+    for (const Flag &row : flags) {
+        out += std::visit(
+            [&](const auto &target) {
+                if constexpr (std::is_pointer_v<
+                                  std::decay_t<decltype(target)>>)
+                    return valueLine(row, *target);
+                else
+                    return formatMessage("  %-20s %s\n", row.name, row.help);
+            },
+            row.target);
+    }
+    return out + formatMessage("  %-20s %s\n", "-h, --help",
+                               "print this help and exit");
+}
+
+void
+parseFlags(int argc, char **argv, const std::vector<Flag> &flags)
+{
+    const std::string help = helpText(argv[0], flags);
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            std::fputs(help.c_str(), stdout);
+            std::exit(0);
+        }
+        auto row = std::find_if(flags.begin(), flags.end(),
+                                [&](const Flag &f) { return arg == f.name; });
+        if (row == flags.end())
+            fatal("unknown flag '%s'", arg.c_str());
+        std::visit(
+            [&](const auto &target) {
+                if constexpr (std::is_pointer_v<
+                                  std::decay_t<decltype(target)>>) {
+                    if (i + 1 >= argc)
+                        fatal("flag %s needs a value", arg.c_str());
+                    store(*row, *target, argv[++i]);
+                } else {
+                    target();
+                }
+            },
+            row->target);
+    }
+}
+
+void
+parseFlagsOrExit(int argc, char **argv, const std::vector<Flag> &flags)
+{
+    try {
+        parseFlags(argc, argv, flags);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s: %s (see --help)\n", argv[0], e.what());
+        std::exit(2);
+    }
+}
+
+std::vector<std::string>
+queueImplNames()
+{
+    return {"wheel", "heap", "auto"};
+}
+
+std::vector<std::string>
+readHistory(const std::string &path)
+{
+    std::vector<std::string> out;
+    std::ifstream in(path);
+    if (!in)
+        return out;
+    std::string line;
+    bool inside = false;
+    while (std::getline(in, line)) {
+        if (line.find("\"history\"") != std::string::npos) {
+            inside = true;
+            continue;
+        }
+        if (!inside)
+            continue;
+        if (line.find(']') != std::string::npos)
+            break;
+        std::size_t open = line.find('{');
+        std::size_t close = line.rfind('}');
+        if (open != std::string::npos && close != std::string::npos)
+            out.push_back(line.substr(open, close - open + 1));
+    }
+    return out;
+}
+
+std::vector<Flag>
+BenchOptions::flags()
+{
+    return {
+        {"--sequences", &sequences, "sequences per scenario (paper: 10)", 1},
+        {"--events", &events, "events per sequence (paper: 20)", 1},
+        {"--seed", &seed, "workload master seed"},
+        {"--jobs", &jobs, "worker threads for the grid (default: all cores)",
+         1},
+        {"--quick",
+         [this] {
+             sequences = 3;
+             events = 10;
+         },
+         "3 sequences x 10 events, for smoke runs"},
+        {"--csv", &csvPath, "also dump the figure's data as CSV"},
+        {"--trace", &tracePath,
+         "export a Perfetto trace of one stress sequence per scheduler "
+         "(PATH gets the scheduler name appended)"},
+        {"--dispatch", &dispatch,
+         "pin the cluster dispatch policy in scale-out benches",
+         dispatchPolicyNames()},
+        {"--sched", &sched, "restrict the bench to one scheduler column",
+         schedulerNames()},
+        {"--policy-trace", &policyTracePath,
+         "capture one stress sequence under the learned scheduler with "
+         "the decision trace written to PATH"},
+        {"--hdr", [this] { hdrTail = true; },
+         "tail percentiles from the bounded HdrHistogram (bench_fig6)"},
+    };
 }
 
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
     BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("flag %s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--sequences") {
-            opts.sequences = std::atoi(next());
-        } else if (arg == "--events") {
-            opts.events = std::atoi(next());
-        } else if (arg == "--seed") {
-            opts.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--jobs") {
-            int jobs = std::atoi(next());
-            if (jobs < 1)
-                fatal("--jobs must be at least 1");
-            opts.jobs = static_cast<unsigned>(jobs);
-        } else if (arg == "--quick") {
-            opts.sequences = 3;
-            opts.events = 10;
-        } else if (arg == "--csv") {
-            opts.csvPath = next();
-        } else if (arg == "--trace") {
-            opts.tracePath = next();
-        } else if (arg == "--dispatch") {
-            opts.dispatch = next();
-            DispatchPolicy p;
-            if (!tryParseDispatchPolicy(opts.dispatch.c_str(), p))
-                usageErrorNames("dispatch policy", opts.dispatch,
-                                dispatchPolicyNames());
-        } else if (arg == "--sched") {
-            opts.sched = next();
-            if (!tryMakeScheduler(opts.sched))
-                usageErrorNames("scheduler", opts.sched, schedulerNames());
-        } else if (arg == "--policy-trace") {
-            opts.policyTracePath = next();
-        } else if (arg == "--hdr") {
-            opts.hdrTail = true;
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("flags: --sequences N --events N --seed S --jobs N "
-                        "--quick --csv PATH --trace PATH --dispatch P "
-                        "--sched S --policy-trace PATH --hdr\n");
-            std::exit(0);
-        } else {
-            fatal("unknown flag '%s'", arg.c_str());
-        }
-    }
-    if (opts.sequences < 1 || opts.events < 1)
-        fatal("--sequences and --events must be positive");
+    parseFlags(argc, argv, opts.flags());
+    return opts;
+}
+
+BenchOptions
+BenchOptions::parseOrExit(int argc, char **argv)
+{
+    BenchOptions opts;
+    parseFlagsOrExit(argc, argv, opts.flags());
     return opts;
 }
 

@@ -4,40 +4,104 @@
  *
  * Each bench binary regenerates one table or figure of the paper's
  * evaluation. They share the experiment grid (same stimuli for every
- * algorithm, §5.1) and a small command-line surface:
- *
- *   --sequences N   sequences per scenario      (default 10, paper: 10)
- *   --events N      events per sequence         (default 20, paper: 20)
- *   --seed S        workload master seed        (default 2023)
- *   --jobs N        worker threads for the grid (default: all cores)
- *   --quick         3 sequences x 10 events, for smoke runs
- *   --csv PATH      also dump the figure's data as CSV
- *   --trace PATH    export per-scheduler Perfetto traces of one stress
- *                   sequence (PATH gets the scheduler name appended)
- *   --dispatch P    pin the cluster dispatch policy in scale-out benches
- *                   (round_robin | least_apps | least_loaded)
- *   --sched S       restrict the bench to one scheduler column (any
- *                   sched/factory.hh name); unknown names print the
- *                   valid list and exit with a usage error
- *   --policy-trace PATH  capture one stress sequence under the learned
- *                   scheduler with the (observation, action, reward)
- *                   trace bridge enabled, written to PATH
+ * algorithm, §5.1) and one command-line surface, the flag table in
+ * BenchOptions::flags(). The sweep benches declare their own tables on
+ * the same Flag rows. Every bench prints its rows with --help and exits
+ * 2 on a usage error.
  */
 
 #ifndef NIMBLOCK_BENCH_COMMON_HH
 #define NIMBLOCK_BENCH_COMMON_HH
 
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "apps/registry.hh"
 #include "core/experiment.hh"
+#include "sim/event_queue.hh"
 #include "stats/csv.hh"
 #include "workload/scenario.hh"
 
 namespace nimblock {
 namespace bench {
+
+/** Lower bound of a flag that must be positive (shown as "> 0"). */
+inline constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+/**
+ * One row of a bench's flag table.
+ *
+ * A value flag parses the next argument into the field @c target points
+ * at. The whole argument must parse as the field's type ("12x", "1.9e3"
+ * for an int and "-1" for an unsigned field are errors) and pass the
+ * row's check: the inclusive lower bound @c min for a number, or
+ * membership in @c names for a string. An enum field stores the index
+ * of its name in @c names. A switch (no value) runs its action.
+ */
+struct Flag
+{
+    using Target =
+        std::variant<int *, unsigned *, unsigned long *,
+                     unsigned long long *, double *, std::string *,
+                     EventQueueImpl *, std::function<void()>>;
+
+    Flag(const char *flag, Target field, const char *text,
+         double lower = -std::numeric_limits<double>::infinity())
+        : name(flag), target(std::move(field)), help(text), min(lower)
+    {}
+
+    Flag(const char *flag, Target field, const char *text,
+         std::vector<std::string> valid)
+        : name(flag), target(std::move(field)), help(text),
+          names(std::move(valid))
+    {}
+
+    const char *name;
+    Target target;
+    const char *help;
+    /**
+     * Inclusive lower bound of a number. A default below it means
+     * "unset": --help omits it and the help text says what unset means.
+     */
+    double min = -std::numeric_limits<double>::infinity();
+    /** Valid values of a string or enum field; empty admits any string. */
+    std::vector<std::string> names;
+};
+
+/** The --help text of @p flags: one line per row. */
+std::string helpText(const char *prog, const std::vector<Flag> &flags);
+
+/**
+ * Parse argv against @p flags in order, so a later flag overrides an
+ * earlier one or a preset. --help (or -h) prints helpText() with the
+ * defaults and exits 0; a usage error throws FatalError.
+ */
+void parseFlags(int argc, char **argv, const std::vector<Flag> &flags);
+
+/**
+ * parseFlags() for a bench main: a usage error prints its message on one
+ * stderr line and exits 2. Run-time fatal()s after parsing still throw.
+ */
+void parseFlagsOrExit(int argc, char **argv, const std::vector<Flag> &flags);
+
+/**
+ * EventQueueImpl's names indexed by value: the valid set of the --impl
+ * rows and the "impl" field of the bench JSON.
+ */
+std::vector<std::string> queueImplNames();
+
+/**
+ * Recover the per-line entries of the "history" array from a previous
+ * results file, so re-running a bench accumulates a dated trajectory
+ * instead of overwriting it. A missing file or a pre-history format
+ * yields an empty list; relies on the writers emitting one entry per
+ * line.
+ */
+std::vector<std::string> readHistory(const std::string &path);
 
 /** Parsed command-line options. */
 struct BenchOptions
@@ -73,8 +137,14 @@ struct BenchOptions
      */
     bool hdrTail = false;
 
-    /** Parse argv; fatal()s on unknown flags. */
+    /** The shared flag table, bound to this object's fields. */
+    std::vector<Flag> flags();
+
+    /** Parse argv; throws FatalError on a usage error. */
     static BenchOptions parse(int argc, char **argv);
+
+    /** parse() for a bench main: a usage error exits 2. */
+    static BenchOptions parseOrExit(int argc, char **argv);
 
     /** jobs with 0 resolved to the actual hardware default. */
     unsigned effectiveJobs() const;
@@ -145,15 +215,6 @@ void maybeWritePolicyTrace(const BenchOptions &opts, const BenchEnv &env);
  */
 std::vector<std::string> schedulerSet(const BenchOptions &opts,
                                       std::vector<std::string> defaults);
-
-/**
- * Print "unknown <what> '<got>'; valid: name1, name2, ..." to stderr and
- * exit(2): the usage-error path for flags taking a name from a closed
- * set. Benches are command-line tools — a typo'd name should produce the
- * valid list and a usage exit code, not a fatal() backtrace.
- */
-[[noreturn]] void usageErrorNames(const char *what, const std::string &got,
-                                  const std::vector<std::string> &valid);
 
 /** Short display names used in the paper's figures. */
 std::string displayName(const std::string &scheduler);

@@ -15,10 +15,8 @@
  * policy/trace.hh and docs/policy.md for the on-disk layout).
  *
  * Capacity limits: boards larger than kMaxSlotObs slots or live sets
- * deeper than kMaxAppObs rows mark the snapshot truncated; schedulers
- * needing full fidelity (Nimblock victim selection) fall back to a
- * direct walk in that case, and the learned policy acts on the
- * observed window only.
+ * deeper than kMaxAppObs rows mark the snapshot truncated, and the
+ * learned policy acts on the observed window only.
  */
 
 #ifndef NIMBLOCK_POLICY_OBSERVATION_HH

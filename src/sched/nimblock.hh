@@ -25,7 +25,6 @@
 #include <memory>
 
 #include "alloc/saturation.hh"
-#include "policy/observation.hh"
 #include "sched/prema_tokens.hh"
 #include "sched/scheduler.hh"
 
@@ -111,19 +110,13 @@ class NimblockScheduler : public Scheduler
     bool selectAndPlace(const std::vector<AppInstance *> &ordered);
 
     /**
-     * Algorithm 2: pick the slot to vacate for a pending ready task.
-     *
-     * Sources the per-slot / per-app victim metrics from the shared
-     * observation snapshot (the same rows a learned policy sees); falls
-     * back to the direct fabric walk when the snapshot is truncated.
+     * Algorithm 2: pick the slot to vacate for a pending ready task, by a
+     * direct walk over the fabric's slots.
      *
      * @return The victim slot, or kSlotNone when no application
      *         over-consumes its allocation.
      */
     SlotId selectPreemptionVictim();
-
-    /** Direct-walk victim selection (full fidelity, any board size). */
-    SlotId selectPreemptionVictimDirect();
 
     /** True when any slot is currently being configured. */
     bool configureInFlight();
@@ -160,14 +153,6 @@ class NimblockScheduler : public Scheduler
     std::vector<AppInstance *> _ordered;
     std::vector<AppInstanceId> _idsScratch;
     std::vector<std::size_t> _alloc;
-
-    /**
-     * Shared observation layer: victim selection reads slot/app rows
-     * from the snapshot, and reallocation's phase-3 fill sources its
-     * per-candidate features through the same builder (_featureRow).
-     */
-    ObservationBuilder _builder;
-    AppObs _featureRow;
 
     /**
      * liveAppsEpoch() at the last pool (re)build; while unchanged, the

@@ -125,7 +125,7 @@ Fabric::Fabric(EventQueue &eq, FabricConfig cfg)
     _slots.reserve(_cfg.numSlots);
     for (SlotId i = 0; i < _cfg.numSlots; ++i) {
         _slots.emplace_back(i);
-        _slots.back().bindConfiguringCounter(&_configuring);
+        _slots.back().bindCounters(&_counters);
         if (!_cfg.boardLayout.empty()) {
             _slots.back().setClassId(static_cast<std::uint32_t>(
                 classIndexOf(_classes, _cfg.boardLayout[i])));
@@ -178,15 +178,6 @@ Fabric::freeSlots() const
             out.push_back(s.id());
     }
     return out;
-}
-
-std::size_t
-Fabric::freeSlotCount() const
-{
-    std::size_t n = 0;
-    for (const Slot &s : _slots)
-        n += s.isFree();
-    return n;
 }
 
 std::size_t

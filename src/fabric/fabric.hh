@@ -189,15 +189,22 @@ class Fabric
     /** Ids of currently free slots. */
     std::vector<SlotId> freeSlots() const;
 
-    /** Number of currently free slots. */
-    std::size_t freeSlotCount() const;
+    /**
+     * Number of currently free slots (Slot::isFree()). This count and
+     * configuringCount() are maintained by the slots themselves on every
+     * transition, so each read is O(1).
+     */
+    std::size_t
+    freeSlotCount() const
+    {
+        return static_cast<std::size_t>(_counters.free);
+    }
 
     /**
-     * Number of slots in SlotState::Configuring, maintained by the slots
-     * themselves on every transition — an O(1) configure-in-flight probe
-     * for schedulers that serialize reconfigurations.
+     * Number of slots in SlotState::Configuring — the configure-in-flight
+     * probe for schedulers that serialize reconfigurations.
      */
-    std::int32_t configuringCount() const { return _configuring; }
+    std::int32_t configuringCount() const { return _counters.configuring; }
 
     /** Number of slots currently quarantined by the resilience layer. */
     std::size_t quarantinedSlotCount() const;
@@ -344,7 +351,7 @@ class Fabric
     std::vector<KernelProfile> _kernelProfiles;
 
     std::vector<Slot> _slots;
-    std::int32_t _configuring = 0; //!< Slots in SlotState::Configuring.
+    SlotCounters _counters; //!< Kept current by the slots.
     Cap _cap;
     BitstreamStore _store;
     DataPort _dataPort;

@@ -26,8 +26,10 @@ Slot::beginConfigure(AppInstanceId app, TaskId task, const BitstreamKey &key,
         panic("slot %u: beginConfigure in state %s", _id, ::nimblock::toString(_state));
     (void)now;
     _state = SlotState::Configuring;
-    if (_configuringCounter)
-        ++*_configuringCounter;
+    if (_counters) {
+        ++_counters->configuring;
+        _counters->free -= !_quarantined;
+    }
     _app = app;
     _task = task;
     _bitstream = key;
@@ -42,8 +44,8 @@ Slot::finishConfigure(SimTime now)
         panic("slot %u: finishConfigure in state %s", _id,
               ::nimblock::toString(_state));
     _state = SlotState::Occupied;
-    if (_configuringCounter)
-        --*_configuringCounter;
+    if (_counters)
+        --_counters->configuring;
     ++_reconfigCount;
     _occupiedSince = now;
 }
@@ -90,13 +92,33 @@ Slot::release(SimTime now)
         _occupiedTotal += now - _occupiedSince;
         _occupiedSince = kTimeNone;
     }
-    if (_state == SlotState::Configuring && _configuringCounter)
-        --*_configuringCounter;
+    if (_counters) {
+        _counters->configuring -= _state == SlotState::Configuring;
+        _counters->free += !_quarantined;
+    }
     _state = SlotState::Free;
     _app = kAppNone;
     _task = kTaskNone;
     _preemptRequested = false;
     // _bitstream intentionally retained for placement affinity.
+}
+
+void
+Slot::setQuarantined(bool q)
+{
+    if (_counters && _state == SlotState::Free && q != _quarantined)
+        _counters->free += q ? -1 : 1;
+    _quarantined = q;
+}
+
+void
+Slot::bindCounters(SlotCounters *counters)
+{
+    _counters = counters;
+    if (!_counters)
+        return;
+    _counters->configuring += _state == SlotState::Configuring;
+    _counters->free += isFree();
 }
 
 SimTime

@@ -38,6 +38,17 @@ enum class SlotState
 /** Render a SlotState. */
 const char *toString(SlotState s);
 
+/**
+ * Fabric-wide slot tallies that the slots keep current on every
+ * transition, so schedulers read them in O(1) instead of scanning the
+ * slot array.
+ */
+struct SlotCounters
+{
+    std::int32_t configuring = 0; //!< Slots in SlotState::Configuring.
+    std::int32_t free = 0;        //!< Slots for which isFree() holds.
+};
+
 /** One reconfigurable slot. */
 class Slot
 {
@@ -68,7 +79,7 @@ class Slot
     bool quarantined() const { return _quarantined; }
 
     /** Enter/leave quarantine (hypervisor only; slot must be Free). */
-    void setQuarantined(bool q) { _quarantined = q; }
+    void setQuarantined(bool q);
 
     /** Occupant application instance; kAppNone when free. */
     AppInstanceId app() const { return _app; }
@@ -151,14 +162,10 @@ class Slot
     std::string toString() const;
 
     /**
-     * Register the fabric-wide Configuring counter this slot keeps
-     * current across its transitions, giving schedulers an O(1)
-     * configure-in-flight probe instead of a slot scan.
+     * Register the fabric-wide tallies this slot keeps current across
+     * its transitions; the slot's present state is counted in at once.
      */
-    void bindConfiguringCounter(std::int32_t *counter)
-    {
-        _configuringCounter = counter;
-    }
+    void bindCounters(SlotCounters *counters);
 
   private:
     SlotId _id;
@@ -169,7 +176,7 @@ class Slot
     bool _executing = false;
     bool _preemptRequested = false;
     bool _quarantined = false;
-    std::int32_t *_configuringCounter = nullptr;
+    SlotCounters *_counters = nullptr;
     std::optional<BitstreamKey> _bitstream;
 
     std::uint64_t _reconfigCount = 0;

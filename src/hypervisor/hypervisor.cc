@@ -1343,24 +1343,22 @@ Hypervisor::runPass(SchedEvent reason)
 void
 Hypervisor::rescueStallIfNeeded()
 {
+    // A free or configuring slot rules a stall out; the fabric's O(1)
+    // tallies answer that before any slot scan.
+    if (_fabric.freeSlotCount() > 0 || _fabric.configuringCount() > 0)
+        return;
     if (_live.empty() || _passPending)
         return;
     if (_fabric.cap().busy() || _fabric.store().busy() ||
         _fabric.dataPort().busy())
         return;
 
-    bool any_free = false;
-    bool any_active = false;
     for (const Slot &s : _fabric.slots()) {
-        any_free |= s.isFree();
-        any_active |= s.executing() || s.state() == SlotState::Configuring;
         // A slot held by an item-retry backoff has a pending event; it
         // is progress, not a stall.
-        if (_faults && _slotHold[s.id()])
-            any_active = true;
+        if (s.executing() || (_faults && _slotHold[s.id()]))
+            return;
     }
-    if (any_free || any_active)
-        return;
 
     // Everything is occupied-but-waiting with no reconfiguration pending:
     // without intervention no event will ever fire again. Preempt the

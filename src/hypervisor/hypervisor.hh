@@ -87,9 +87,10 @@ struct HypervisorConfig
      * fires (so requestPass coalescing windows and event counts are
      * identical to a run with the knob off) — only the scheduler body
      * and stall-rescue scan are elided; schedulingPasses still counts
-     * it and purePassesElided records the saving. Token-accumulating
-     * schedulers (PREMA, Nimblock) are never elided: their per-pass
-     * token update is state.
+     * it and purePassesElided records the saving. PREMA, Nimblock and
+     * the learned policy are never elided, because every tick moves
+     * their tokens or their RNG and weights; they skip the rest of a
+     * clean tick themselves (see Scheduler::passIsPure()).
      */
     bool elidePurePasses = true;
 
@@ -627,8 +628,9 @@ class Hypervisor : public SchedulerOps
     std::uint64_t _actionCounter = 0;
     /**
      * Monotonic mutation counter behind SchedulerOps::stateVersion():
-     * advanced wherever _stateDirty is raised, so equal versions imply
-     * an unchanged scheduler-visible state.
+     * advanced wherever _stateDirty is raised. A pass's configure()
+     * calls advance it only when runPass() returns;
+     * SchedulerOps::stateVersion() says what equal versions promise.
      */
     std::uint64_t _stateVersion = 1;
 

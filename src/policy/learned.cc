@@ -219,6 +219,7 @@ LearnedScheduler::pass(SchedEvent reason)
     // numSlots bounds the loop since every useful action consumes or
     // frees at most one slot.
     bool decided = false;
+    bool applied = false;
     const std::size_t budget = obs->numSlots ? obs->numSlots : 1;
     for (std::size_t step = 0; step < budget; ++step) {
         const std::size_t n = enumerateCandidates(*obs);
@@ -237,7 +238,8 @@ LearnedScheduler::pass(SchedEvent reason)
         }
         const Candidate &c = _candidates[pick];
         if (!decided) {
-            _prevObs = *obs;
+            if (_trace.isOpen())
+                _prevObs = *obs;
             _prevAction = c.action;
             _prevPhi = c.phi;
             _havePrev = true;
@@ -246,7 +248,12 @@ LearnedScheduler::pass(SchedEvent reason)
         if (static_cast<SchedActionKind>(c.action.kind) ==
             SchedActionKind::NoOp)
             break;
-        if (!apply(c))
+        const bool freed = apply(c);
+        applied = true;
+        // The action advances the state version only when this pass
+        // returns, so the rebuild must not reuse rows from before it.
+        _builder.invalidate();
+        if (!freed)
             break;
         obs = &_builder.build(ops(), ops().liveApps());
     }
@@ -254,7 +261,14 @@ LearnedScheduler::pass(SchedEvent reason)
     // Work-conserving guard: whatever the policy left free goes to
     // bulk-ready tasks in arrival order. The policy shapes priority and
     // preemption; it is never allowed to stall a board with runnable
-    // work (the simulator treats that as fatal).
+    // work (the simulator treats that as fatal). On a clean tick with
+    // no action applied above, the last guard saw this same state and
+    // placed nothing (a placement advances the version), so it is
+    // skipped.
+    const std::uint64_t version = ops().stateVersion();
+    if (!applied && version != 0 && version == _guardVersion)
+        return;
+    _guardVersion = version;
     if (ops().fabric().freeSlotCount() > 0) {
         for (AppInstance *app : ops().liveApps()) {
             if (ops().fabric().freeSlotCount() == 0)

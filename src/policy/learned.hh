@@ -141,7 +141,10 @@ class LearnedScheduler : public Scheduler
     ObservationBuilder _builder;
     std::array<Candidate, kMaxCandidates> _candidates;
 
-    /** Previous settled decision (reward target). */
+    /**
+     * Previous settled decision (reward target). _prevObs is copied only
+     * while the trace is open, its one reader.
+     */
     SchedObservation _prevObs;
     SchedAction _prevAction;
     std::array<double, kPolicyFeatures> _prevPhi;
@@ -152,6 +155,9 @@ class LearnedScheduler : public Scheduler
     std::uint64_t _retiredAtPrev = 0;
 
     std::uint64_t _decisions = 0;
+
+    /** stateVersion() at the last work-conserving guard. */
+    std::uint64_t _guardVersion = 0;
 
     PolicyTraceWriter _trace;
 };

@@ -1,6 +1,7 @@
 #include "policy/observation.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 namespace nimblock {
@@ -19,48 +20,87 @@ ObservationBuilder::fillAppObs(AppObs &out, SchedulerOps &ops,
                      app.batch();
     out.itemsRemaining = out.totalItems - app.itemsDoneTotal();
     out.estLatency = ops.estimatedSingleSlotLatency(app);
-    out.waitingTime = ops.now() - app.arrival();
-    out.deadlineSlack =
-        app.arrival() +
-        static_cast<SimTime>(kObsDeadlineScale *
-                             static_cast<double>(out.estLatency)) -
-        ops.now();
-    out.candidateSince = app.candidateSince();
-    out.overConsumption = app.overConsumption();
-    out.token = app.token();
     out.priority = app.priorityValue();
-    // Queue depth: idle tasks with items remaining — work that wants a
-    // slot regardless of execution discipline (the prefetchable set).
+    // One task walk: queue depth (idle tasks with items remaining — work
+    // that wants a slot regardless of execution discipline, the
+    // prefetchable set), held slots and streaming-kernel tasks.
     const TaskGraph &graph = app.graph();
     std::int32_t depth = 0;
+    std::int32_t used = 0;
     std::int32_t piped = 0;
     for (TaskId t = 0; t < graph.numTasks(); ++t) {
         const TaskRunState &ts = app.taskState(t);
         if (ts.phase == TaskPhase::Idle && ts.itemsDone < app.batch())
             ++depth;
+        used += ts.phase == TaskPhase::Configuring ||
+                ts.phase == TaskPhase::Resident;
         if (graph.task(t).kernel)
             ++piped;
     }
     out.queueDepth = depth;
     out.pipelinedTasks =
         static_cast<std::uint8_t>(std::min<std::int32_t>(piped, 255));
-    out.slotsUsed = static_cast<std::int32_t>(app.slotsUsed());
-    out.slotsAllocated = static_cast<std::int32_t>(app.slotsAllocated());
+    out.slotsUsed = used;
     out.tasksIncomplete = static_cast<std::int32_t>(graph.numTasks()) -
                           app.tasksCompleted();
-    out.everCandidate = app.everCandidate() ? 1 : 0;
     out.launched = app.firstLaunch() != kTimeNone ? 1 : 0;
+    refreshAppObs(out, ops, app);
+}
+
+void
+ObservationBuilder::refreshAppObs(AppObs &row, SchedulerOps &ops,
+                                  const AppInstance &app)
+{
+    row.waitingTime = ops.now() - app.arrival();
+    row.deadlineSlack =
+        app.arrival() +
+        static_cast<SimTime>(kObsDeadlineScale *
+                             static_cast<double>(row.estLatency)) -
+        ops.now();
+    row.candidateSince = app.candidateSince();
+    row.token = app.token();
+    row.slotsAllocated = static_cast<std::int32_t>(app.slotsAllocated());
+    row.overConsumption = static_cast<std::int64_t>(row.slotsUsed) -
+                          static_cast<std::int64_t>(app.slotsAllocated());
+    row.everCandidate = app.everCandidate() ? 1 : 0;
+}
+
+bool
+ObservationBuilder::sameApps(const std::vector<AppInstance *> &apps) const
+{
+    if (apps.size() != _obs.liveApps)
+        return false;
+    for (std::uint32_t i = 0; i < _obs.numApps; ++i) {
+        if (apps[i]->id() != _obs.apps[i].id)
+            return false;
+    }
+    return true;
 }
 
 const SchedObservation &
 ObservationBuilder::build(SchedulerOps &ops,
                           const std::vector<AppInstance *> &apps)
 {
-    std::memset(&_obs, 0, sizeof(_obs));
+    // Equal nonzero versions mean only time and the scheduler's own
+    // bookkeeping moved since the last build; ids identify the same
+    // apps while the live set stands still.
+    const std::uint64_t version = ops.stateVersion();
+    const bool refresh =
+        version != 0 && version == _builtVersion && sameApps(apps);
+    _builtVersion = version;
+
+    // Every byte is written or zeroed: the header here, each slot row
+    // in full, each app row by fillAppObs() (or kept from the build it
+    // refreshes), and below any row an earlier build filled beyond
+    // this one's.
+    const std::uint32_t prev_slot_rows =
+        std::min<std::uint32_t>(_obs.numSlots, kMaxSlotObs);
+    const std::uint32_t prev_app_rows = _obs.numApps;
+    std::memset(&_obs, 0, offsetof(SchedObservation, slots));
 
     Fabric &fabric = ops.fabric();
     _obs.now = ops.now();
-    _obs.stateVersion = ops.stateVersion();
+    _obs.stateVersion = version;
     _obs.numSlots = static_cast<std::uint32_t>(fabric.numSlots());
     _obs.freeSlots = static_cast<std::uint32_t>(fabric.freeSlotCount());
     _obs.quarantinedSlots =
@@ -78,6 +118,8 @@ ObservationBuilder::build(SchedulerOps &ops,
         slot_rows = kMaxSlotObs;
         _obs.slotsTruncated = 1;
     }
+    // Slot rows are always re-read: item faults and retry holds flip a
+    // slot between executing and waiting without a version bump.
     const std::vector<Slot> &slots = fabric.slots();
     for (std::size_t i = 0; i < slot_rows; ++i) {
         const Slot &s = slots[i];
@@ -98,6 +140,10 @@ ObservationBuilder::build(SchedulerOps &ops,
         row.pipelined = pipe & 1;
         row.pipelinePrimed = (pipe >> 1) & 1;
     }
+    if (slot_rows < prev_slot_rows) {
+        std::memset(&_obs.slots[slot_rows], 0,
+                    (prev_slot_rows - slot_rows) * sizeof(SlotObs));
+    }
 
     _obs.liveApps = static_cast<std::uint32_t>(apps.size());
     std::size_t app_rows = apps.size();
@@ -106,8 +152,18 @@ ObservationBuilder::build(SchedulerOps &ops,
         _obs.appsTruncated = 1;
     }
     _obs.numApps = static_cast<std::uint32_t>(app_rows);
-    for (std::size_t i = 0; i < app_rows; ++i)
-        fillAppObs(_obs.apps[i], ops, *apps[i]);
+    if (refresh) {
+        ++_refreshes;
+        for (std::size_t i = 0; i < app_rows; ++i)
+            refreshAppObs(_obs.apps[i], ops, *apps[i]);
+    } else {
+        for (std::size_t i = 0; i < app_rows; ++i)
+            fillAppObs(_obs.apps[i], ops, *apps[i]);
+    }
+    if (app_rows < prev_app_rows) {
+        std::memset(&_obs.apps[app_rows], 0,
+                    (prev_app_rows - app_rows) * sizeof(AppObs));
+    }
 
     return _obs;
 }

@@ -9,10 +9,10 @@
  * SchedulerOps exactly once and lands the result in fixed-capacity
  * arrays, so a learned policy — or an offline training pipeline replaying
  * a captured trace — sees the same feature rows the built-in schedulers
- * use. The snapshot is trivially copyable with every padding byte
- * zeroed, so "same state" means "byte-identical snapshot" (memcmp), and
- * a binary trace of snapshots is replayable across builds (see
- * policy/trace.hh and docs/policy.md for the on-disk layout).
+ * use. The snapshot is trivially copyable and every byte of it is
+ * written or zeroed, so "same state" means "byte-identical snapshot"
+ * (memcmp), and a binary trace of snapshots is replayable across builds
+ * (see policy/trace.hh and docs/policy.md for the on-disk layout).
  *
  * Capacity limits: boards larger than kMaxSlotObs slots or live sets
  * deeper than kMaxAppObs rows mark the snapshot truncated, and the
@@ -239,6 +239,14 @@ estimatedRemaining(const AppObs &a)
  * and allocates nothing. The app-row order is the caller's (candidate
  * pool or liveApps()), making rows directly comparable to the walks
  * they replace.
+ *
+ * Clean ticks are cheap: when SchedulerOps::stateVersion() is nonzero
+ * and equal to the previous build's, and @p apps lists the same apps,
+ * build() rewrites the header and the slot rows but refreshes only the
+ * app-row fields that can move without a version bump (refreshAppObs())
+ * instead of re-walking every task. A pass's own configure() and
+ * preempt() calls do not advance the version until the pass returns, so
+ * a caller that rebuilds after acting must invalidate() first.
  */
 class ObservationBuilder
 {
@@ -249,6 +257,12 @@ class ObservationBuilder
      */
     const SchedObservation &build(SchedulerOps &ops,
                                   const std::vector<AppInstance *> &apps);
+
+    /** Make the next build() a full rebuild. */
+    void invalidate() { _builtVersion = 0; }
+
+    /** Builds that took the clean-tick refresh (counted for tests). */
+    std::uint64_t refreshes() const { return _refreshes; }
 
     /** The last built snapshot. */
     const SchedObservation &observation() const { return _obs; }
@@ -261,8 +275,24 @@ class ObservationBuilder
     static void fillAppObs(AppObs &out, SchedulerOps &ops,
                            AppInstance &app);
 
+    /**
+     * Rewrite the fields of a filled row that can change while the
+     * state version stands still: the time-driven ones (waitingTime,
+     * deadlineSlack) and the scheduler's own bookkeeping (token,
+     * candidacy, slot allocation and the over-consumption derived from
+     * it). Every other field is a function of version-tracked state.
+     */
+    static void refreshAppObs(AppObs &row, SchedulerOps &ops,
+                              const AppInstance &app);
+
   private:
-    SchedObservation _obs;
+    /** True when @p apps lists the apps of the last build's rows. */
+    bool sameApps(const std::vector<AppInstance *> &apps) const;
+
+    SchedObservation _obs{};
+    /** stateVersion() at the last build; 0 forces a full rebuild. */
+    std::uint64_t _builtVersion = 0;
+    std::uint64_t _refreshes = 0;
 };
 
 } // namespace nimblock

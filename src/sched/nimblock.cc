@@ -183,6 +183,7 @@ NimblockScheduler::configureInFlight()
 SlotId
 NimblockScheduler::selectPreemptionVictim()
 {
+    _victimSearched = true;
     // Algorithm 2 lines 1-9: the strictly largest over-consumer among
     // the applications holding a slot that waits at an item boundary
     // with no preemption already requested.
@@ -325,10 +326,27 @@ NimblockScheduler::pass(SchedEvent reason)
                   });
     }
 
+    // Clean tick: the last pass that reallocated saw this version and
+    // this pool, so reallocating would set the same targets, and its
+    // selection issued nothing (an action advances the version when its
+    // pass returns), so selecting again would issue nothing. Its victim
+    // search is the exception: item faults flip slots between executing
+    // and waiting without advancing the version.
+    const std::uint64_t version = ops().stateVersion();
+    if (version != 0 && version == _placedVersion && !pool_changed &&
+        !_capacityDirty && !_victimSearched) {
+        if (reason == SchedEvent::Tick)
+            ++_stats.reallocations;
+        std::swap(_lastCandidateIds, _idsScratch);
+        return;
+    }
+
     // Step 2: reallocate on candidate-pool changes and periodic ticks.
     if (reason == SchedEvent::Tick || _capacityDirty || pool_changed) {
         reallocate(_ordered);
         _capacityDirty = false;
+        _placedVersion = version;
+        _victimSearched = false;
     }
     std::swap(_lastCandidateIds, _idsScratch);
 

@@ -136,6 +136,15 @@ class NimblockScheduler : public Scheduler
 
     /** Set by onCapacityChanged(); forces reallocation on the next pass. */
     bool _capacityDirty = false;
+
+    /**
+     * stateVersion() at the last reallocation, and whether a selection
+     * since then searched for a preemption victim; pass() skips
+     * reallocation and selection on a clean tick.
+     */
+    std::uint64_t _placedVersion = 0;
+    bool _victimSearched = false;
+
     /**
      * Validity epoch for per-instance cached goal numbers; bumped on
      * every capacity change (see goalNumberFor). Starts at 1 so a fresh

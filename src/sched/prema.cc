@@ -8,6 +8,7 @@ PremaScheduler::PremaScheduler(TokenPolicyConfig token_cfg)
     : Scheduler("prema"), _tokenCfg(token_cfg)
 {
     _candidateIds.reserve(64);
+    _placedIds.reserve(64);
     _candidates.reserve(64);
     _byRemaining.reserve(64);
 }
@@ -61,6 +62,17 @@ PremaScheduler::pass(SchedEvent reason)
     // board.
     if (ops().fabric().freeSlotCount() == 0)
         return;
+
+    // Clean tick: the last placement that ran saw this version and these
+    // candidates, and it issued nothing (an action advances the version
+    // when its pass returns), so running it again would issue nothing.
+    // Tokens moved, but placement never reads them.
+    const std::uint64_t version = ops().stateVersion();
+    if (version != 0 && version == _placedVersion &&
+        _candidateIds == _placedIds)
+        return;
+    _placedVersion = version;
+    _placedIds = _candidateIds;
 
     // Shortest estimated remaining execution first. The estimate is
     // computed once per candidate (not inside the comparator), and the

@@ -44,6 +44,13 @@ class PremaScheduler : public Scheduler
      */
     std::uint64_t _poolEpoch = ~0ull;
 
+    /**
+     * stateVersion() and candidate ids at the last placement that ran;
+     * a pass that matches both skips the placement (see pass()).
+     */
+    std::uint64_t _placedVersion = 0;
+    std::vector<AppInstanceId> _placedIds;
+
     /** Pass-local scratch (candidates and their sort keys). */
     std::vector<AppInstance *> _candidates;
     std::vector<std::pair<SimTime, std::size_t>> _byRemaining;

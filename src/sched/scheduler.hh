@@ -138,11 +138,22 @@ class SchedulerOps
     virtual const GridContext *gridContext() const { return nullptr; }
 
     /**
-     * Monotonic counter of scheduler-visible state mutations: bumped
-     * whenever anything a pass may observe changed (arrivals,
-     * completions, issued actions). Two observations built at the same
-     * version describe the same state. 0 means the implementation does
-     * not track versions (treat every snapshot as stale).
+     * Monotonic counter of scheduler-visible state mutations: advanced
+     * by every non-tick pass trigger (arrivals, completions,
+     * reconfigurations, capacity changes) and after every pass that
+     * issued a configure() or preempt(). Two passes that start at the
+     * same version see the same live set, task progress, slot occupancy
+     * and quarantine set. What may still differ is what time drives:
+     * now(), energy, the schedulers' own bookkeeping (tokens,
+     * allocations), and the in-flight state that item faults, retry
+     * holds and migration quiesce change (slots executing versus
+     * waiting, preemption requests, an app's migrating flag). A pass's
+     * own configure() calls do not advance the version before the pass
+     * returns (a preemption honored on the spot may), so the version
+     * does not describe the state after the pass's own actions: a cache
+     * keyed on it must be invalidated after them. 0 means the
+     * implementation does not track versions (treat every snapshot as
+     * stale).
      */
     virtual std::uint64_t stateVersion() const { return 0; }
 
@@ -234,11 +245,15 @@ class Scheduler
      * its pass() is an idempotent function of hypervisor/fabric state —
      * running it twice with no state change in between issues no action
      * the first run didn't (and mutates nothing observable, thanks to
-     * already-queued dedup). Time- or pass-count-dependent policies
-     * (PREMA / Nimblock token accumulation) must return false: every
-     * pass advances their token state even when nothing is placed. The
-     * hypervisor uses this to skip provable no-op tick passes (see
-     * HypervisorConfig::elidePurePasses).
+     * already-queued dedup). The hypervisor uses this to skip provable
+     * no-op tick passes (see HypervisorConfig::elidePurePasses).
+     * Policies with time-driven state must return false: every tick
+     * accumulates PREMA's and Nimblock's tokens, and draws the learned
+     * policy's RNG and updates its weights. They reach a partial
+     * fixpoint instead: on a clean tick — stateVersion() unchanged
+     * since a pass that issued no configure or preempt — each pays only
+     * for that time-driven work and skips the placement work it knows
+     * would issue nothing.
      */
     virtual bool passIsPure() const { return false; }
 

@@ -190,6 +190,11 @@ TEST_F(PolicyTest, RefactoredSchedulersMatchPreRefactorGoldens)
         {"rr", Scenario::Standard, 0x420feaf038e91675ull},
         {"rr", Scenario::Stress, 0x9c724971549ee29bull},
         {"rr", Scenario::RealTime, 0x7f320f04dc03ed3cull},
+        // Recorded before learned reused its snapshot rows and skipped
+        // its work-conserving guard on clean ticks.
+        {"learned", Scenario::Standard, 0xc17ad26c135672a3ull},
+        {"learned", Scenario::Stress, 0x6c13fd904e432d65ull},
+        {"learned", Scenario::RealTime, 0x1dd6aa4eae33a37bull},
     };
     for (const GoldenCase &c : cases) {
         EXPECT_EQ(runDigest(c.sched, c.scenario), c.digest)

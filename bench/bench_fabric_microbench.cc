@@ -119,6 +119,90 @@ BM_EventQueueSteadyState(benchmark::State &state)
 
 BENCHMARK(BM_EventQueueSteadyState)->Arg(1000)->Arg(10000);
 
+/**
+ * The hypervisor's two timers among ordinary events: a 400 ms scheduling
+ * tick (PeriodicEvent) and a pass timer that every pass request arms
+ * 100 us out unless it is already armed. Each tick and each ordinary
+ * event (an item completion) requests a pass; each ordinary event then
+ * re-schedules itself, so the pending set holds `pending` of them.
+ */
+class TimerWorkload
+{
+  public:
+    TimerWorkload(EventQueueImpl impl, std::size_t pending)
+        : _eq(impl),
+          _pass(_eq.addTimer("sched_pass", [this] { ++_passes; })),
+          _tick(_eq, simtime::ms(400), "sched_tick",
+                [this] { requestPass(); })
+    {
+        _eq.reserve(pending + 2);
+        _tick.start();
+        for (std::size_t i = 0; i < pending; ++i)
+            hold();
+    }
+
+    EventQueue &queue() { return _eq; }
+    std::uint64_t passes() const { return _passes; }
+
+  private:
+    void
+    requestPass()
+    {
+        if (!_eq.timerArmed(_pass))
+            _eq.armTimerAfter(_pass, simtime::us(100));
+    }
+
+    void
+    hold()
+    {
+        _eq.schedule(_eq.now() + _rng.uniformInt(simtime::us(100),
+                                                 simtime::ms(800)),
+                     "item_done", [this] {
+                         requestPass();
+                         hold();
+                     });
+    }
+
+    EventQueue _eq;
+    Rng _rng{2023};
+    TimerId _pass;
+    PeriodicEvent _tick;
+    std::uint64_t _passes = 0;
+};
+
+void
+BM_EventQueueTimers(benchmark::State &state)
+{
+    const auto pending = static_cast<std::size_t>(state.range(0));
+    const EventQueueImpl impl =
+        state.range(1) ? EventQueueImpl::Wheel : EventQueueImpl::Heap;
+    constexpr int kStepsPerIter = 1000;
+    TimerWorkload w(impl, pending);
+    EventQueue &eq = w.queue();
+    for (int i = 0; i < kStepsPerIter; ++i) // Reach the steady footprint.
+        eq.step();
+
+    const std::uint64_t fired_before = eq.firedCount();
+    const std::uint64_t passes_before = w.passes();
+    AllocScope allocs;
+    for (auto _ : state) {
+        for (int i = 0; i < kStepsPerIter; ++i)
+            benchmark::DoNotOptimize(eq.step());
+    }
+    const double fired = static_cast<double>(eq.firedCount() - fired_before);
+    state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+    allocs.finish(state, fired);
+    state.counters["pass_share"] = benchmark::Counter(
+        static_cast<double>(w.passes() - passes_before) / fired);
+}
+
+BENCHMARK(BM_EventQueueTimers)
+    ->ArgNames({"pending", "wheel"})
+    ->Args({5, 0})
+    ->Args({5, 1})
+    ->Args({1000, 0})
+    ->Args({1000, 1});
+
 void
 BM_BitstreamStoreHitPath(benchmark::State &state)
 {

@@ -56,7 +56,6 @@ EventQueue::growSlotArrays()
     _name.push_back(nullptr);
     _next.push_back(kNilSlot);
     _gen.push_back(0);
-    _aux.push_back(0);
     _state.push_back(0);
     if (((_slotCount - 1) >> kSlotChunkShift) >= _chunks.size())
         _chunks.emplace_back(new Callback[kSlotChunkSize]);
@@ -71,12 +70,12 @@ EventQueue::schedulePastPanic(SimTime when, const char *name)
 }
 
 void
-EventQueue::labelPanic(std::uint32_t slot)
+EventQueue::labelPanic(const char *name)
 {
     panic("event label '%s' changed between schedule and fire/cancel: "
           "labels must be string literals or interned strings whose "
           "storage outlives the event",
-          _name[slot] ? _name[slot] : "(null)");
+          name ? name : "(null)");
 }
 
 std::uint64_t
@@ -100,9 +99,7 @@ EventQueue::cancel(EventId id)
     if (!isLive(id))
         return false;
     std::uint32_t slot = slotOf(id);
-    verifyLabel(slot);
-    if (_state[slot] & kTimer)
-        _timers[_aux[slot]]->armed = kEventNone;
+    verifyLabel(_name[slot], _labelHash[slot]);
     --_liveCount;
     if (_impl == EventQueueImpl::Heap) {
         // Heap entries are skipped lazily by (gen, state); the slot can
@@ -122,39 +119,104 @@ EventQueue::cancel(EventId id)
 TimerId
 EventQueue::addTimer(const char *name, Callback cb)
 {
-    _timers.emplace_back(new TimerSlot{std::move(cb), name, kEventNone});
+    _timers.emplace_back(new TimerSlot{std::move(cb), name});
+    // Grown geometrically: reallocating per timer fragments the heap.
+    if (_lane.capacity() < _timers.size())
+        _lane.reserve(std::max<std::size_t>(8, 2 * _timers.size()));
     return static_cast<TimerId>(_timers.size() - 1);
 }
 
-EventId
+// The sifts are inlined and take the moving entry by value: reloading an
+// entry just stored field by field stalls on store forwarding.
+
+inline void
+EventQueue::laneSiftUp(std::uint32_t pos, LaneEntry e)
+{
+    for (std::uint32_t parent; pos > 0; pos = parent) {
+        parent = (pos - 1) / 2;
+        if (!ItemEarlier{}(e, _lane[parent]))
+            break;
+        lanePut(pos, _lane[parent]);
+    }
+    lanePut(pos, e);
+}
+
+inline void
+EventQueue::laneSiftDown(std::uint32_t pos, LaneEntry e)
+{
+    const std::size_t n = _lane.size();
+    for (std::uint32_t child; (child = 2 * pos + 1) < n; pos = child) {
+        if (child + 1 < n && ItemEarlier{}(_lane[child + 1], _lane[child]))
+            ++child;
+        if (!ItemEarlier{}(_lane[child], e))
+            break;
+        lanePut(pos, _lane[child]);
+    }
+    lanePut(pos, e);
+}
+
+void
 EventQueue::armTimer(TimerId timer, SimTime when)
 {
     TimerSlot &ts = *_timers[timer];
     if (when < _now)
         schedulePastPanic(when, ts.name);
-    if (ts.armed != kEventNone)
-        cancel(ts.armed);
-    std::uint32_t slot = allocSlot();
-    _aux[slot] = timer;
-    EventId id = commitSchedule(slot, when, ts.name,
-                                kQueued | kLive | kTimer);
-    ts.armed = id;
-    return id;
+    if (_labelCheck)
+        ts.labelHash = labelHash(ts.name);
+    const LaneEntry e{when, _nextSeq++, &ts};
+    if (ts.pos == kUnarmed) {
+        ++_liveCount;
+        _lane.emplace_back();
+        laneSiftUp(static_cast<std::uint32_t>(_lane.size() - 1), e);
+    } else if (when < _lane[ts.pos].when) {
+        laneSiftUp(ts.pos, e); // The fresh seq orders after equal times.
+    } else {
+        laneSiftDown(ts.pos, e);
+    }
+    cacheLaneRoot();
 }
 
 bool
 EventQueue::disarmTimer(TimerId timer)
 {
     TimerSlot &ts = *_timers[timer];
-    if (ts.armed == kEventNone)
+    if (ts.pos == kUnarmed)
         return false;
-    return cancel(ts.armed); // cancel() clears ts.armed.
+    verifyLabel(ts.name, ts.labelHash);
+    --_liveCount;
+    laneRemove(ts.pos);
+    return true;
 }
 
 bool
-EventQueue::timerArmed(TimerId timer) const
+EventQueue::fireTimer()
 {
-    return _timers[timer]->armed != kEventNone;
+    if (_lane.empty())
+        return false;
+    TimerSlot &ts = *_lane[0].timer;
+    verifyLabel(ts.name, ts.labelHash);
+    _now = _laneWhen;
+    ++_fired;
+    --_liveCount;
+    // Unlinked before the callback runs, which may re-arm it at once.
+    laneRemove(0);
+    ts.cb();
+    return true;
+}
+
+void
+EventQueue::laneRemove(std::uint32_t pos)
+{
+    _lane[pos].timer->pos = kUnarmed;
+    const LaneEntry last = _lane.back();
+    _lane.pop_back();
+    if (pos < _lane.size()) {
+        if (pos > 0 && ItemEarlier{}(last, _lane[(pos - 1) / 2]))
+            laneSiftUp(pos, last);
+        else
+            laneSiftDown(pos, last);
+    }
+    cacheLaneRoot();
 }
 
 void
@@ -177,9 +239,11 @@ EventQueue::skipDead()
 bool
 EventQueue::heapStep()
 {
-    skipDead();
-    if (_heap.empty())
-        return false;
+    // A lane root ahead of the heap top, dead or not, fires at once.
+    if (!_heap.empty() && !laneFirst(_heap[0]))
+        skipDead();
+    if (_heap.empty() || laneFirst(_heap[0]))
+        return fireTimer();
     HeapItem item = _heap[0];
     heapPop();
     fireItem(item);
@@ -193,14 +257,19 @@ EventQueue::heapRun(SimTime horizon)
     // fired event (step() after a separate skipDead() would redo all
     // three).
     std::uint64_t fired = 0;
-    for (;;) {
+    for (;; ++fired) {
         skipDead();
-        if (_heap.empty() || _heap[0].when > horizon)
+        if (_heap.empty() || laneFirst(_heap[0])) {
+            if (_lane.empty() || _laneWhen > horizon)
+                break;
+            fireTimer();
+            continue;
+        }
+        if (_heap[0].when > horizon)
             break;
         HeapItem item = _heap[0];
         heapPop();
         fireItem(item);
-        ++fired;
     }
     return fired;
 }
@@ -223,10 +292,14 @@ EventQueue::place(std::uint32_t slot, SimTime when, std::uint64_t seq)
     if (level >= kLevels) {
         // Beyond the wheel span: park in the sorted overflow heap;
         // promoteOverflow() pulls it in as the cursor approaches.
+        _wheelFloor = std::min(_wheelFloor, tick);
         _heap.push_back(HeapItem{when, seq, makeId(_gen[slot], slot)});
         std::push_heap(_heap.begin(), _heap.end(), HeapItemLater{});
         return;
     }
+    const std::uint64_t window =
+        tick & ~((std::uint64_t{1} << (level * kLevelBits)) - 1);
+    _wheelFloor = std::min(_wheelFloor, window);
     bucketPush(level, bucketIndex(tick, level), slot);
 }
 
@@ -336,14 +409,15 @@ EventQueue::purgeDead()
     }
     _heap.clear();
     _entries = 0;
+    _wheelFloor = ~std::uint64_t{0};
 }
 
 bool
 EventQueue::advanceWheel()
 {
-    if (_liveCount == 0) {
-        // Nothing live anywhere; reclaim whatever cancelled garbage is
-        // still linked so heapSize() drops back to zero.
+    if (_liveCount == _lane.size()) {
+        // Nothing live in the wheel; reclaim whatever cancelled garbage
+        // is still linked so heapSize() drops back to the lane's size.
         purgeDead();
         return false;
     }
@@ -372,24 +446,26 @@ EventQueue::advanceWheel()
                 break;
             }
         }
-        if (!found) {
-            // Wheel exhausted; jump the cursor to the overflow minimum
-            // and let promotion pull its window in.
+        // Exact floor: the found bucket's first tick (group `level` := idx,
+        // groups below := 0, groups above kept), else the overflow's.
+        if (found) {
+            std::uint64_t keepMask =
+                ~((std::uint64_t{1} << ((level + 1) * kLevelBits)) - 1);
+            _wheelFloor = (_curTick & keepMask) |
+                          (std::uint64_t{idx} << (level * kLevelBits));
+        } else {
             skipDead();
             if (_heap.empty()) {
                 purgeDead();
                 return false;
             }
-            _curTick = tickOf(_heap[0].when);
-            continue;
+            _wheelFloor = tickOf(_heap[0].when);
         }
-
-        // Move the cursor to the start of the found bucket's window:
-        // group `level` := idx, groups below := 0, groups above kept.
-        std::uint64_t keepMask =
-            ~((std::uint64_t{1} << ((level + 1) * kLevelBits)) - 1);
-        _curTick = (_curTick & keepMask) |
-                   (std::uint64_t{idx} << (level * kLevelBits));
+        if (laneLeads(_wheelFloor))
+            return false;
+        _curTick = _wheelFloor;
+        if (!found)
+            continue; // Let promotion pull the overflow's window in.
         if (level == 0)
             drainBucket(idx);
         else
@@ -403,25 +479,14 @@ EventQueue::advanceWheel()
 bool
 EventQueue::wheelStepSlow()
 {
-    // The inline step() fast path exhausted the open batch (or found
-    // only cancelled entries): open the next one and fire its head.
-    for (;;) {
-        _batch.clear();
-        _batchPos = 0;
-        if (!advanceWheel())
-            return false;
-        while (_batchPos < _batch.size()) {
-            HeapItem item = _batch[_batchPos++];
-            std::uint32_t slot = slotOf(item.id);
-            --_entries;
-            if (!(_state[slot] & kLive)) {
-                freeEntry(slot); // Cancelled while batched.
-                continue;
-            }
-            fireItem(item);
-            return true;
-        }
-    }
+    // The inline step() fast path exhausted the open batch: open the
+    // next one unless the lane root leads. A fresh batch holds only live
+    // entries, so step() then fires without coming back here.
+    _batch.clear();
+    _batchPos = 0;
+    if (laneLeads(_wheelFloor) || !advanceWheel())
+        return fireTimer();
+    return step();
 }
 
 std::uint64_t
@@ -429,7 +494,7 @@ EventQueue::wheelRun(SimTime horizon)
 {
     std::uint64_t fired = 0;
     for (;;) {
-        if (_batchPos < _batch.size()) {
+        if (_batchPos < _batch.size() && !laneFirst(_batch[_batchPos])) {
             HeapItem item = _batch[_batchPos];
             std::uint32_t slot = slotOf(item.id);
             if (!(_state[slot] & kLive)) {
@@ -446,10 +511,16 @@ EventQueue::wheelRun(SimTime horizon)
             ++fired;
             continue;
         }
-        _batch.clear();
-        _batchPos = 0;
-        if (!advanceWheel())
+        if (_batchPos >= _batch.size()) {
+            _batch.clear();
+            _batchPos = 0;
+            if (!laneLeads(_wheelFloor) && advanceWheel())
+                continue;
+        }
+        if (_lane.empty() || _laneWhen > horizon)
             break;
+        fireTimer();
+        ++fired;
     }
     return fired;
 }
@@ -510,11 +581,16 @@ EventQueue::run(SimTime horizon)
 SimTime
 EventQueue::nextEventTime()
 {
+    SimTime next;
     if (_impl == EventQueueImpl::Heap) {
         skipDead();
-        return _heap.empty() ? kTimeNone : _heap[0].when;
+        next = _heap.empty() ? kTimeNone : _heap[0].when;
+    } else {
+        next = wheelNextEventTime();
     }
-    return wheelNextEventTime();
+    if (!_lane.empty() && (next == kTimeNone || _laneWhen < next))
+        next = _laneWhen;
+    return next;
 }
 
 void
@@ -536,7 +612,6 @@ EventQueue::reserve(std::size_t events)
     _name.reserve(events);
     _next.reserve(events);
     _gen.reserve(events);
-    _aux.reserve(events);
     _state.reserve(events);
     std::size_t chunks = (events + kSlotChunkSize - 1) >> kSlotChunkShift;
     _chunks.reserve(chunks);

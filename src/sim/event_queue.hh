@@ -8,7 +8,7 @@
  * SimTime. Events at equal timestamps fire in insertion order, which makes
  * whole-system runs bit-reproducible for a given seed and configuration.
  *
- * Two interchangeable ready structures implement that contract:
+ * Two interchangeable ready structures hold ordinary events:
  *
  * - EventQueueImpl::Wheel (default): a hierarchical time wheel. Six
  *   levels of 64 buckets each cover ~26 simulated days at a 32.768 us
@@ -39,9 +39,14 @@
  * growth never relocates pending callbacks.
  *
  * Recurring work uses the Timer facility: addTimer() constructs the
- * callback once, and every subsequent armTimer()/disarmTimer() is pure
- * index work — no per-arm SmallFunction construction. The hypervisor's
- * scheduling tick and pass latency both ride on timers.
+ * callback once, and armed timers wait beside the ready structure in a
+ * timer lane, an indexed binary min-heap of inline (when, seq, timer)
+ * entries, so arming costs no slot, callback or ready-structure entry.
+ * step(), run() and nextEventTime() take the earlier of the lane root
+ * (one compare against its cached key) and the ready structure's head;
+ * arming draws seq from the schedule() counter, so the fire order is
+ * exactly that of one queue. The hypervisor's tick and pass, the soak's
+ * arrival pump and the cluster rebalancer are timers.
  */
 
 #ifndef NIMBLOCK_SIM_EVENT_QUEUE_HH
@@ -156,7 +161,7 @@ class EventQueue
             schedulePastPanic(when, name);
         std::uint32_t slot = allocSlot();
         chunkCb(slot) = std::forward<F>(cb);
-        return commitSchedule(slot, when, name, /*flags=*/kQueued | kLive);
+        return commitSchedule(slot, when, name);
     }
 
     /** Schedule @p cb to fire @p delay after now(). */
@@ -184,13 +189,15 @@ class EventQueue
      * A timer owns one callback constructed at addTimer() time; arming
      * and disarming never construct or destroy the callable. At most one
      * occurrence is pending per timer: re-arming an armed timer moves
-     * the pending occurrence.
+     * the pending occurrence. Armed timers wait in the timer lane (see
+     * the file comment) and count in pendingCount() and firedCount().
      */
     /// @{
 
     /**
      * Register a persistent timer. Timers live as long as the queue;
-     * there is no removeTimer (create them at setup time).
+     * there is no removeTimer (create them at setup time). Reserves the
+     * timer's lane entry, so arming never allocates.
      *
      * @param name Debug label (non-owning; pass a string literal).
      * @param cb   Invoked on every armed occurrence.
@@ -198,25 +205,29 @@ class EventQueue
     TimerId addTimer(const char *name, Callback cb);
 
     /**
-     * Arm @p timer to fire at absolute time @p when (>= now()); any
-     * pending occurrence is cancelled first.
-     *
-     * @return The occurrence's event handle (also cancellable).
+     * Arm @p timer to fire at absolute time @p when (>= now()),
+     * replacing any pending occurrence. The occurrence takes the next
+     * sequence number as schedule() would, so it fires after everything
+     * already pending at @p when. O(log timers); disarmTimer() cancels.
      */
-    EventId armTimer(TimerId timer, SimTime when);
+    void armTimer(TimerId timer, SimTime when);
 
     /** Arm @p timer to fire @p delay after now(). */
-    EventId
+    void
     armTimerAfter(TimerId timer, SimTime delay)
     {
-        return armTimer(timer, _now + delay);
+        armTimer(timer, _now + delay);
     }
 
     /** Cancel the pending occurrence, if any. */
     bool disarmTimer(TimerId timer);
 
     /** True while an occurrence is pending. */
-    bool timerArmed(TimerId timer) const;
+    bool
+    timerArmed(TimerId timer) const
+    {
+        return _timers[timer]->pos != kUnarmed;
+    }
 
     /// @}
 
@@ -227,12 +238,12 @@ class EventQueue
     bool empty() const { return _liveCount == 0; }
 
     /**
-     * Fire the single earliest pending event.
+     * Fire the single earliest pending event or timer.
      *
      * The common case — the next event is already in the open co-timed
-     * batch — is a bounds check and an array read; opening the next
-     * batch (cursor advance, cascade, overflow promotion) is the
-     * out-of-line slow path.
+     * batch — is a bounds check, an array read and one key compare
+     * against the lane root; opening the next batch (cursor advance,
+     * cascade, overflow promotion) is the out-of-line slow path.
      *
      * @retval true  An event fired.
      * @retval false The queue was empty.
@@ -242,7 +253,10 @@ class EventQueue
     {
         if (_impl == EventQueueImpl::Wheel) {
             while (_batchPos < _batch.size()) {
-                HeapItem item = _batch[_batchPos++];
+                HeapItem item = _batch[_batchPos];
+                if (laneFirst(item))
+                    return fireTimer();
+                ++_batchPos;
                 std::uint32_t slot = slotOf(item.id);
                 --_entries;
                 if (!(_state[slot] & kLive)) {
@@ -279,13 +293,14 @@ class EventQueue
     void reserve(std::size_t events);
 
     /**
-     * Ready-structure entries (live + cancelled garbage) currently held.
+     * Entries held (live + cancelled garbage), armed timers included.
      * Exposed for tests; always >= pendingCount().
      */
     std::size_t
     heapSize() const
     {
-        return _impl == EventQueueImpl::Heap ? _heap.size() : _entries;
+        return (_impl == EventQueueImpl::Heap ? _heap.size() : _entries) +
+               _lane.size();
     }
 
     /**
@@ -318,8 +333,7 @@ class EventQueue
     /** @name Slot state flags (SoA _state bytes) */
     /// @{
     static constexpr std::uint8_t kLive = 1;   //!< Will fire unless cancelled.
-    static constexpr std::uint8_t kTimer = 2;  //!< Occurrence of a timer.
-    static constexpr std::uint8_t kQueued = 4; //!< Storage owned by an entry.
+    static constexpr std::uint8_t kQueued = 2; //!< Storage owned by an entry.
     /// @}
 
     /** Ready entry: the (when, seq) key plus the owning handle. */
@@ -342,12 +356,23 @@ class EventQueue
         }
     };
 
+    static constexpr std::uint32_t kUnarmed = 0xffffffffu;
+
     /** A persistent timer: the one-time-constructed callback. */
     struct TimerSlot
     {
         Callback cb;
         const char *name = nullptr;
-        EventId armed = kEventNone;
+        std::uint64_t labelHash = 0; //!< Recorded at arm (label check).
+        std::uint32_t pos = kUnarmed; //!< Index in _lane while armed.
+    };
+
+    /** Timer-lane entry: an armed timer's (when, seq) key, inline. */
+    struct LaneEntry
+    {
+        SimTime when;
+        std::uint64_t seq;
+        TimerSlot *timer;
     };
 
     static constexpr std::uint32_t kNilSlot = 0xffffffffu;
@@ -428,14 +453,13 @@ class EventQueue
      * higher-level and overflow placements take the out-of-line place().
      */
     EventId
-    commitSchedule(std::uint32_t slot, SimTime when, const char *name,
-                   std::uint8_t flags)
+    commitSchedule(std::uint32_t slot, SimTime when, const char *name)
     {
         std::uint64_t seq = _nextSeq++;
         _when[slot] = when;
         _seq[slot] = seq;
         _name[slot] = name;
-        _state[slot] = flags;
+        _state[slot] = kQueued | kLive;
         if (_labelCheck)
             _labelHash[slot] = labelHash(name);
         ++_liveCount;
@@ -443,6 +467,7 @@ class EventQueue
         if (_impl == EventQueueImpl::Wheel) {
             std::uint64_t tick = tickOf(when);
             if (tick > _curTick && (tick ^ _curTick) < kBuckets) {
+                _wheelFloor = std::min(_wheelFloor, tick);
                 bucketPush(0,
                            static_cast<std::uint32_t>(tick & (kBuckets - 1)),
                            slot);
@@ -464,54 +489,38 @@ class EventQueue
     void
     freeEntry(std::uint32_t slot)
     {
-        if (!(_state[slot] & kTimer))
-            chunkCb(slot) = nullptr;
+        chunkCb(slot) = nullptr;
         _state[slot] = 0;
         _free.push_back(slot);
     }
 
     /**
-     * Advance the clock to @p item and run its callback (or its timer's
-     * callback) in place. The entry is dead throughout; slot storage is
-     * recycled after the call returns (before it for timer occurrences,
-     * whose callable lives in the timer table).
+     * Advance the clock to @p item and run its callback in place. The
+     * entry is dead for the duration of its own callback — self-cancel
+     * during fire reports false — and the slot is reclaimed only after
+     * the callback returns (it runs out of the slot's storage).
      */
     void
     fireItem(const HeapItem &item)
     {
         std::uint32_t slot = slotOf(item.id);
-        verifyLabel(slot);
+        verifyLabel(_name[slot], _labelHash[slot]);
         _now = item.when;
         ++_fired;
         --_liveCount;
-        if (_state[slot] & kTimer) {
-            TimerSlot &timer = *_timers[_aux[slot]];
-            // The callable lives in the timer table, not the slot, so
-            // the slot can be recycled before the callback runs — which
-            // may immediately re-arm into a fresh slot.
-            _state[slot] = 0;
-            _free.push_back(slot);
-            timer.armed = kEventNone;
-            timer.cb();
-        } else {
-            // Dead for the duration of its own callback: self-cancel
-            // during fire reports false, and the slot is reclaimed only
-            // after the callback returns (it runs out of the slot's
-            // storage).
-            _state[slot] &= ~kLive;
-            chunkCb(slot)();
-            freeEntry(slot);
-        }
+        _state[slot] &= ~kLive;
+        chunkCb(slot)();
+        freeEntry(slot);
     }
 
     [[noreturn]] void schedulePastPanic(SimTime when, const char *name);
-    [[noreturn]] void labelPanic(std::uint32_t slot);
+    [[noreturn]] static void labelPanic(const char *name);
 
     void
-    verifyLabel(std::uint32_t slot)
+    verifyLabel(const char *name, std::uint64_t hash) const
     {
-        if (_labelCheck && labelHash(_name[slot]) != _labelHash[slot])
-            labelPanic(slot);
+        if (_labelCheck && labelHash(name) != hash)
+            labelPanic(name);
     }
 
     static std::uint64_t labelHash(const char *s);
@@ -525,6 +534,64 @@ class EventQueue
         return false;
 #endif
     }
+
+    /** @name Timer lane */
+    /// @{
+
+    /** True when the lane root fires before @p item (never if empty). */
+    bool
+    laneFirst(const HeapItem &item) const
+    {
+        return _laneWhen < item.when ||
+               (_laneWhen == item.when && _laneSeq < item.seq);
+    }
+
+    /** Pop the lane root and run its timer's callback; false if empty. */
+    bool fireTimer();
+
+    /**
+     * Wheel mode, batch exhausted: true when the lane root lies in a
+     * granule before @p floor (<= every occupied bucket's first tick).
+     * The cursor then moves up to the root's granule, so its callbacks
+     * land in level 0; entries stay placed while the top window holds.
+     */
+    bool
+    laneLeads(std::uint64_t floor)
+    {
+        const std::uint64_t lane_tick = tickOf(_laneWhen);
+        if (_lane.empty() || lane_tick >= floor)
+            return false;
+        if (lane_tick > _curTick &&
+            (_heap.empty() ||
+             !((lane_tick ^ _curTick) >> (kLevels * kLevelBits))))
+            _curTick = lane_tick;
+        return true;
+    }
+
+    /** Remove the entry at @p pos, restoring the heap order. */
+    void laneRemove(std::uint32_t pos);
+
+    /** Move @p e from the hole at @p pos toward the root or leaves. */
+    void laneSiftUp(std::uint32_t pos, LaneEntry e);
+    void laneSiftDown(std::uint32_t pos, LaneEntry e);
+
+    /** Store @p e at @p pos and record the position in its timer. */
+    void
+    lanePut(std::uint32_t pos, const LaneEntry &e)
+    {
+        _lane[pos] = e;
+        e.timer->pos = pos;
+    }
+
+    /** Refresh the cached root key after the root may have changed. */
+    void
+    cacheLaneRoot()
+    {
+        _laneWhen = _lane.empty() ? kTimeMax : _lane[0].when;
+        _laneSeq = _lane.empty() ? ~std::uint64_t{0} : _lane[0].seq;
+    }
+
+    /// @}
 
     /** @name Heap implementation */
     /// @{
@@ -591,8 +658,9 @@ class EventQueue
     /**
      * Open the next non-empty co-timed batch, advancing the cursor past
      * empty buckets, cascading higher levels and promoting overflow as
-     * needed. Returns false when no live event remains (after reclaiming
-     * any remaining cancelled garbage).
+     * needed. Returns false, with the batch empty, when no live event
+     * remains (after reclaiming any remaining cancelled garbage) or when
+     * laneLeads() the next occupied bucket.
      */
     bool advanceWheel();
 
@@ -629,7 +697,6 @@ class EventQueue
     std::vector<const char *> _name;
     std::vector<std::uint32_t> _next; //!< Intrusive bucket link.
     std::vector<std::uint32_t> _gen;
-    std::vector<std::uint32_t> _aux; //!< TimerId for kTimer entries.
     std::vector<std::uint8_t> _state;
     /// @}
 
@@ -644,18 +711,25 @@ class EventQueue
     std::uint64_t _occ[kLevels] = {};
     std::array<std::uint32_t, kBuckets> _bucket[kLevels];
     std::uint64_t _curTick = 0; //!< Tick of the current level-0 bucket.
+    /** Lower bound on every occupied bucket's first tick and overflow
+        tick: lowered by placements, made exact by advanceWheel(). */
+    std::uint64_t _wheelFloor = 0;
     std::vector<HeapItem> _batch; //!< Current drain batch, (when,seq)-sorted.
     std::size_t _batchPos = 0;
     std::size_t _entries = 0; //!< Entries held (live + garbage), wheel mode.
 
     std::vector<std::unique_ptr<TimerSlot>> _timers;
+    std::vector<LaneEntry> _lane; //!< Armed timers, min-heap on (when, seq).
+    SimTime _laneWhen = kTimeMax; //!< Cached root key; empty is last.
+    std::uint64_t _laneSeq = ~std::uint64_t{0};
 };
 
 /**
  * Convenience helper that re-arms itself at a fixed period, modelling the
  * hypervisor's scheduling-interval timer (400 ms in the paper). Built on
- * the queue's Timer facility: the callback is constructed once and every
- * periodic re-arm is O(1) index work.
+ * the queue's Timer facility: the callback is constructed once, and each
+ * occurrence waits in the timer lane, so a periodic re-arm is one lane
+ * push with no slot or callback traffic.
  */
 class PeriodicEvent
 {

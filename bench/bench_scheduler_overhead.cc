@@ -12,6 +12,8 @@
 
 #include "alloc/saturation.hh"
 #include "apps/registry.hh"
+#include "core/config.hh"
+#include "core/grid_context.hh"
 #include "core/simulation.hh"
 #include "sim/logging.hh"
 #include "workload/generator.hh"
@@ -60,16 +62,44 @@ BM_SaturationAnalysis(benchmark::State &state)
     setQuiet(true);
     AppRegistry reg = standardRegistry();
     auto spec = reg.get("alexnet");
-    int batch = static_cast<int>(state.range(0));
     MakespanParams params;
+    params.batch = static_cast<int>(state.range(0));
     for (auto _ : state) {
         SaturationAnalysis analysis =
-            analyzeSaturation(spec->graph(), batch, 10, params);
+            analyzeSaturation(spec->graph(), 10, params);
         benchmark::DoNotOptimize(analysis.saturationPoint);
     }
 }
 
 BENCHMARK(BM_SaturationAnalysis)->Arg(1)->Arg(5)->Arg(30);
+
+/**
+ * GridContext warm-up for one Figure-5 grid unit (the standard scenario,
+ * 10 sequences of 20 arrivals, seed 2023): every single-slot latency and
+ * goal-number sweep ExperimentGrid::runAll computes before its runs.
+ */
+void
+BM_GridContextWarm(benchmark::State &state)
+{
+    setQuiet(true);
+    AppRegistry reg = standardRegistry();
+    GeneratorConfig gen = scenarioConfig(Scenario::Standard, reg.names());
+    gen.numEvents = 20;
+    std::vector<EventSequence> seqs =
+        generateSequences("standard", 10, gen, Rng(2023));
+    SystemConfig cfg;
+    std::size_t pairs = 0;
+    for (auto _ : state) {
+        GridContext ctx(cfg);
+        for (const EventSequence &seq : seqs)
+            ctx.warmSequence(seq, reg);
+        pairs = ctx.pairCount();
+        benchmark::DoNotOptimize(pairs);
+    }
+    state.counters["pairs"] = static_cast<double>(pairs);
+}
+
+BENCHMARK(BM_GridContextWarm);
 
 /** Single-slot latency estimation (deadline unit) cost. */
 void

@@ -5,24 +5,25 @@
 namespace nimblock {
 
 SaturationAnalysis
-analyzeSaturation(const TaskGraph &graph, int batch, std::size_t max_slots,
+analyzeSaturation(const TaskGraph &graph, std::size_t max_slots,
                   MakespanParams params, double improve_threshold)
 {
     if (max_slots == 0)
         fatal("saturation analysis needs at least one slot");
 
-    SaturationAnalysis out;
-    out.makespans.reserve(max_slots);
-    for (std::size_t k = 1; k <= max_slots; ++k) {
-        params.slots = k;
-        out.makespans.push_back(estimateMakespan(graph, params));
-    }
-
     // The saturation point is the last slot count whose *next* slot still
     // buys a meaningful (>= threshold) improvement; equivalently the
     // smallest k where improvement k -> k+1 falls below the threshold.
+    // Points past k + 1 cannot move it, so the sweep ends there.
+    MakespanEstimator estimator;
+    SaturationAnalysis out;
+    out.makespans.reserve(max_slots);
+    params.slots = 1;
+    out.makespans.push_back(estimator.estimate(graph, params));
     out.saturationPoint = max_slots;
     for (std::size_t k = 1; k < max_slots; ++k) {
+        params.slots = k + 1;
+        out.makespans.push_back(estimator.estimate(graph, params));
         double before = static_cast<double>(out.makespans[k - 1]);
         double after = static_cast<double>(out.makespans[k]);
         double improvement = before <= 0 ? 0.0 : (before - after) / before;
@@ -31,7 +32,6 @@ analyzeSaturation(const TaskGraph &graph, int batch, std::size_t max_slots,
             break;
         }
     }
-    (void)batch;
     return out;
 }
 
@@ -56,11 +56,18 @@ GoalNumberCache::analysis(const AppSpec &app, int batch)
         p.pipelined = p.pipelined && app.pipelineAcrossBatch();
         it = _cache
                  .emplace(std::make_pair(app.name(), batch),
-                          analyzeSaturation(app.graph(), batch, _maxSlots,
-                                            p, _threshold))
+                          analyzeSaturation(app.graph(), _maxSlots, p,
+                                            _threshold))
                  .first;
     }
     return it->second;
+}
+
+void
+GoalNumberCache::insert(const AppSpec &app, int batch,
+                        SaturationAnalysis analysis)
+{
+    _cache.try_emplace(std::make_pair(app.name(), batch), std::move(analysis));
 }
 
 const SaturationAnalysis *

@@ -4,12 +4,12 @@
  *
  * An experiment grid runs the same workload sequences through many
  * schedulers, and every run used to recompute the same derived state from
- * scratch: single-slot latency estimates (one event-driven MakespanSim
- * per (app, batch) pair), Nimblock/static goal-number sweeps (one
- * MakespanSim per slot count per pair), and the bitstream name intern
- * table. None of it depends on the scheduler or on anything that happens
- * during a run — it is a pure function of the SystemConfig and the
- * workload's (app, batch) pairs.
+ * scratch: single-slot latency estimates (one makespan estimate per
+ * (app, batch) pair), Nimblock/static goal-number sweeps (one estimate
+ * per slot count per pair), and the bitstream name intern table. None of
+ * it depends on the scheduler or on anything that happens during a run —
+ * it is a pure function of the SystemConfig and the workload's
+ * (app, batch) pairs.
  *
  * A GridContext hoists that state out of the runs: built and warmed once
  * per grid (or once per benchmark process), then frozen and shared
@@ -47,7 +47,10 @@ class GridContext
     /**
      * Pre-compute every run-invariant estimate for (spec, batch): the
      * single-slot latency and both goal-number sweeps (pipelined and
-     * non-pipelined). Idempotent; fatal()s after freeze().
+     * non-pipelined). Costs one bulk sweep, stopped one point past its
+     * knee, whose one-slot point is the latency; a second, pipelined
+     * sweep only when the app pipelines across the batch. Idempotent;
+     * fatal()s after freeze().
      */
     void warm(const AppSpecPtr &spec, int batch);
 

@@ -1405,7 +1405,7 @@ Hypervisor::estimatedSingleSlotLatency(AppInstance &app)
     if (it == _latencyCache.end()) {
         // Probe the grid's pre-warmed table first: inside experiment
         // grids and benchmarks the estimate was computed before the run
-        // started, so the fill here is a lookup instead of a MakespanSim.
+        // started, so the fill here is a lookup instead of an estimate.
         SimTime lat = _gridCtx ? _gridCtx->singleSlotLatency(
                                      app.specPtr().get(), app.batch())
                                : kTimeNone;

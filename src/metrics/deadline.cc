@@ -55,11 +55,19 @@ deadlineSweep(const std::vector<AppRecord> &records,
     if (!single_slot_latency)
         fatal("deadline sweep needs a single-slot latency function");
 
-    std::vector<const AppRecord *> considered;
+    // The unit function is pure and may be costly (the grid benches run a
+    // makespan estimate per call), so each considered record's unit is
+    // computed once, before the D_s loop.
+    struct Considered
+    {
+        SimTime response;
+        SimTime unit;
+    };
+    std::vector<Considered> considered;
     for (const AppRecord &r : records) {
         if (!cfg.onlyHighPriority ||
             r.priority == static_cast<int>(Priority::High)) {
-            considered.push_back(&r);
+            considered.push_back({r.responseTime(), single_slot_latency(r)});
         }
     }
 
@@ -71,11 +79,10 @@ deadlineSweep(const std::vector<AppRecord> &records,
     for (int i = 0; i < steps; ++i) {
         double ds = cfg.dsMin + i * cfg.dsStep;
         std::size_t violations = 0;
-        for (const AppRecord *r : considered) {
-            SimTime unit = single_slot_latency(*r);
+        for (const Considered &c : considered) {
             auto deadline = static_cast<SimTime>(
-                ds * static_cast<double>(unit));
-            if (r->responseTime() > deadline)
+                ds * static_cast<double>(c.unit));
+            if (c.response > deadline)
                 ++violations;
         }
         curve.ds.push_back(ds);

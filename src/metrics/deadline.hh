@@ -59,6 +59,7 @@ struct DeadlineCurve
  * @param records            Completed-application records.
  * @param single_slot_latency Returns the single-slot latency of a record's
  *                           (application, batch) pair — the deadline unit.
+ *                           Called once per considered record.
  * @param cfg                Sweep parameters.
  */
 DeadlineCurve

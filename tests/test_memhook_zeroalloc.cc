@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc/makespan.hh"
 #include "apps/registry.hh"
 #include "cluster/cluster.hh"
 #include "core/config.hh"
@@ -361,6 +362,51 @@ TEST(MemhookZeroAlloc, SoakSteadyWindowAllocatesNothing)
         EXPECT_EQ(r.allocs, 0u)
             << "soak steady window allocated " << r.allocs << " times ("
             << r.bytes << " bytes) over " << r.events << " events";
+    }
+}
+
+TEST(MemhookZeroAlloc, MakespanEstimatorAllocatesNothingAfterItsFirstSweep)
+{
+    // GridContext warm-up runs saturation sweeps on one estimator per
+    // sweep: its event heap, task states and per-task latencies keep
+    // their capacity, so only the first estimate may grow them.
+    setQuiet(true);
+    AppRegistry registry = extendedRegistry();
+    SystemConfig cfg;
+    MakespanParams p;
+    p.reconfigLatency = cfg.reconfigLatency();
+    p.psBandwidthBytesPerSec = cfg.fabric.psBandwidthBytesPerSec;
+    for (const std::string &name : registry.names()) {
+        const TaskGraph &graph = registry.get(name)->graph();
+        MakespanEstimator estimator;
+        auto sweep = [&] {
+            SimTime sum = 0;
+            for (std::size_t k = 1; k <= cfg.fabric.numSlots; ++k) {
+                p.slots = k;
+                sum += estimator.estimate(graph, p);
+            }
+            return sum;
+        };
+        p.batch = 1;
+        p.pipelined = true;
+        sweep();
+
+        memhook::reset();
+        memhook::setEnabled(true);
+        SimTime total = 0;
+        for (int batch : {1, 5, 30}) {
+            for (bool pipelined : {true, false}) {
+                p.batch = batch;
+                p.pipelined = pipelined;
+                total += sweep();
+            }
+        }
+        memhook::setEnabled(false);
+        EXPECT_GT(total, 0) << name;
+        EXPECT_EQ(memhook::allocCount(), 0u)
+            << name << ": the estimator allocated " << memhook::allocCount()
+            << " times (" << memhook::allocBytes()
+            << " bytes) after its first sweep";
     }
 }
 

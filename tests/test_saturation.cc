@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "alloc/saturation.hh"
 #include "apps/benchmarks.hh"
 #include "sim/logging.hh"
@@ -23,19 +25,38 @@ chain(std::size_t n, SimTime lat)
 
 TEST(Saturation, SweepCoversAllSlotCounts)
 {
+    // The sweep stops one point past the knee; the whole curve comes
+    // from estimateMakespan, and the analysis must agree with it.
     TaskGraph g = chain(4, simtime::ms(100));
     MakespanParams p;
-    auto analysis = analyzeSaturation(g, 4, 10, p);
-    EXPECT_EQ(analysis.makespans.size(), 10u);
-    EXPECT_GE(analysis.saturationPoint, 1u);
-    EXPECT_LE(analysis.saturationPoint, 10u);
+    p.batch = 4;
+    std::vector<SimTime> curve;
+    for (std::size_t k = 1; k <= 10; ++k) {
+        p.slots = k;
+        curve.push_back(estimateMakespan(g, p));
+    }
+    auto analysis = analyzeSaturation(g, 10, p);
+    std::size_t knee = 10;
+    for (std::size_t k = 1; k < 10; ++k) {
+        double before = static_cast<double>(curve[k - 1]);
+        double after = static_cast<double>(curve[k]);
+        if ((before - after) / before < 0.03) {
+            knee = k;
+            break;
+        }
+    }
+    EXPECT_EQ(analysis.saturationPoint, knee);
+    ASSERT_EQ(analysis.makespans.size(), std::min<std::size_t>(knee + 1, 10));
+    for (std::size_t i = 0; i < analysis.makespans.size(); ++i)
+        EXPECT_EQ(analysis.makespans[i], curve[i]) << "k = " << i + 1;
 }
 
 TEST(Saturation, MakespansAreNonIncreasing)
 {
     auto spec = benchmarks::opticalFlow();
     MakespanParams p;
-    auto analysis = analyzeSaturation(spec->graph(), 10, 10, p);
+    p.batch = 10;
+    auto analysis = analyzeSaturation(spec->graph(), 10, p);
     for (std::size_t i = 1; i < analysis.makespans.size(); ++i)
         EXPECT_LE(analysis.makespans[i], analysis.makespans[i - 1]);
 }
@@ -44,7 +65,8 @@ TEST(Saturation, SingleTaskSaturatesAtOneSlot)
 {
     TaskGraph g = chain(1, simtime::ms(100));
     MakespanParams p;
-    auto analysis = analyzeSaturation(g, 8, 10, p);
+    p.batch = 8;
+    auto analysis = analyzeSaturation(g, 10, p);
     EXPECT_EQ(analysis.saturationPoint, 1u);
 }
 
@@ -56,7 +78,7 @@ TEST(Saturation, SecondSlotHelpsPipelinedChains)
     MakespanParams p;
     p.pipelined = true;
     p.batch = 10;
-    auto analysis = analyzeSaturation(g, 10, 10, p);
+    auto analysis = analyzeSaturation(g, 10, p);
     double improvement =
         1.0 - static_cast<double>(analysis.makespans[1]) /
                   static_cast<double>(analysis.makespans[0]);
@@ -71,7 +93,8 @@ TEST(Saturation, BulkChainSaturatesEarly)
     TaskGraph g = chain(5, simtime::sec(2));
     MakespanParams p;
     p.pipelined = false;
-    auto analysis = analyzeSaturation(g, 10, 10, p);
+    p.batch = 10;
+    auto analysis = analyzeSaturation(g, 10, p);
     EXPECT_LE(analysis.saturationPoint, 2u);
 }
 
@@ -124,7 +147,7 @@ TEST(Saturation, RejectsZeroSlots)
 {
     TaskGraph g = chain(1, simtime::ms(1));
     MakespanParams p;
-    EXPECT_THROW(analyzeSaturation(g, 1, 0, p), FatalError);
+    EXPECT_THROW(analyzeSaturation(g, 0, p), FatalError);
     EXPECT_THROW(GoalNumberCache(0, p), FatalError);
 }
 

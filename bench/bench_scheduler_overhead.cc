@@ -54,6 +54,8 @@ BENCHMARK_CAPTURE(BM_SchedulerRun, fcfs, std::string("fcfs"));
 BENCHMARK_CAPTURE(BM_SchedulerRun, prema, std::string("prema"));
 BENCHMARK_CAPTURE(BM_SchedulerRun, rr, std::string("rr"));
 BENCHMARK_CAPTURE(BM_SchedulerRun, nimblock, std::string("nimblock"));
+BENCHMARK_CAPTURE(BM_SchedulerRun, learned, std::string("learned"));
+BENCHMARK_CAPTURE(BM_SchedulerRun, themis, std::string("themis"));
 
 /** Saturation analysis (the ILP substitute) per application/batch. */
 void

@@ -46,6 +46,7 @@ AppInstance::AppInstance(AppInstanceId id, AppSpecPtr spec, int batch,
         fatal("app instance '%s' needs batch >= 1, got %d",
               _spec->name().c_str(), _batch);
     _tasks.resize(_spec->graph().numTasks());
+    recountTallies();
 }
 
 void
@@ -65,6 +66,7 @@ AppInstance::reinit(AppSpecPtr spec, int batch, Priority priority,
     _tasks.assign(_spec->graph().numTasks(), TaskRunState{});
     _tasksCompleted = 0;
     _itemsDoneTotal = 0;
+    recountTallies();
     _token = 0.0;
     _slotsAllocated = 0;
     _everCandidate = false;
@@ -113,6 +115,63 @@ AppInstance::done() const
     return _tasksCompleted == static_cast<int>(_tasks.size());
 }
 
+void
+AppInstance::tally(const TaskRunState &st, int sign)
+{
+    if (st.phase == TaskPhase::Configuring || st.phase == TaskPhase::Resident)
+        _slotsHeld += sign;
+    if (idlePending(st)) {
+        _idlePending += sign;
+        if (st.predsPending == 0)
+            _bulkReady += sign;
+    }
+}
+
+void
+AppInstance::recountTallies()
+{
+    _slotsHeld = 0;
+    _idlePending = 0;
+    _bulkReady = 0;
+    const TaskGraph &g = graph();
+    for (TaskId t = 0; t < _tasks.size(); ++t) {
+        int pending = 0;
+        for (TaskId p : g.predecessors(t))
+            pending += _tasks[p].itemsDone < _batch;
+        _tasks[t].predsPending = pending;
+        tally(_tasks[t], +1);
+    }
+}
+
+void
+AppInstance::setTaskPhase(TaskId t, TaskPhase p)
+{
+    TaskRunState &st = taskState(t);
+    tally(st, -1);
+    st.phase = p;
+    tally(st, +1);
+}
+
+void
+AppInstance::noteItemDone(TaskId t)
+{
+    TaskRunState &st = taskState(t);
+    tally(st, -1);
+    ++st.itemsDone;
+    tally(st, +1);
+    ++_itemsDoneTotal;
+    if (st.itemsDone != _batch)
+        return;
+    // The batch just finished: one fewer pending predecessor for each
+    // successor.
+    for (TaskId s : graph().successors(t)) {
+        TaskRunState &succ = _tasks[s];
+        tally(succ, -1);
+        --succ.predsPending;
+        tally(succ, +1);
+    }
+}
+
 bool
 AppInstance::inputsReady(TaskId t, int item) const
 {
@@ -126,22 +185,12 @@ AppInstance::inputsReady(TaskId t, int item) const
 }
 
 bool
-AppInstance::predsFullyDone(TaskId t) const
-{
-    for (TaskId p : graph().predecessors(t)) {
-        if (_tasks[p].itemsDone < _batch)
-            return false;
-    }
-    return true;
-}
-
-bool
 AppInstance::taskConfigurable(TaskId t, bool pipelined) const
 {
     const TaskRunState &st = _tasks[t];
-    if (st.phase != TaskPhase::Idle || st.itemsDone >= _batch)
+    if (!idlePending(st))
         return false;
-    return pipelined ? inputsReady(t, st.itemsDone) : predsFullyDone(t);
+    return pipelined ? inputsReady(t, st.itemsDone) : st.predsPending == 0;
 }
 
 std::vector<TaskId>
@@ -160,12 +209,26 @@ AppInstance::configurableTasksInto(std::vector<TaskId> &out,
     // A quiescing app has nothing configurable: offering tasks here would
     // make schedulers burn their one placement per pass on a configure()
     // that rejects migrating apps, starving every younger candidate.
-    if (_migrating)
+    // Configurable tasks are idle with items remaining, and under bulk
+    // gating also bulk-ready: a zero tally means an empty list.
+    if (_migrating || (pipelined ? _idlePending : _bulkReady) == 0)
         return;
     for (TaskId t : graph().topoOrder()) {
         if (taskConfigurable(t, pipelined))
             out.push_back(t);
     }
+}
+
+TaskId
+AppInstance::firstConfigurableTask(bool pipelined) const
+{
+    if (_migrating || (pipelined ? _idlePending : _bulkReady) == 0)
+        return kTaskNone;
+    for (TaskId t : graph().topoOrder()) {
+        if (taskConfigurable(t, pipelined))
+            return t;
+    }
+    return kTaskNone;
 }
 
 std::vector<TaskId>
@@ -180,21 +243,24 @@ void
 AppInstance::prefetchableTasksInto(std::vector<TaskId> &out) const
 {
     out.clear();
+    if (_idlePending == 0)
+        return;
     for (TaskId t : graph().topoOrder()) {
-        const TaskRunState &st = _tasks[t];
-        if (st.phase == TaskPhase::Idle && st.itemsDone < _batch)
+        if (idlePending(_tasks[t]))
             out.push_back(t);
     }
 }
 
-bool
-AppInstance::hasConfigurableTask(bool pipelined) const
+TaskId
+AppInstance::firstPrefetchableTask() const
 {
+    if (_idlePending == 0)
+        return kTaskNone;
     for (TaskId t : graph().topoOrder()) {
-        if (taskConfigurable(t, pipelined))
-            return true;
+        if (idlePending(_tasks[t]))
+            return t;
     }
-    return false;
+    return kTaskNone;
 }
 
 bool
@@ -205,17 +271,6 @@ AppInstance::hasQueuedTask() const
             return true;
     }
     return false;
-}
-
-std::size_t
-AppInstance::slotsUsed() const
-{
-    std::size_t n = 0;
-    for (const auto &st : _tasks) {
-        n += st.phase == TaskPhase::Configuring ||
-             st.phase == TaskPhase::Resident;
-    }
-    return n;
 }
 
 std::vector<TaskId>
@@ -253,6 +308,7 @@ AppInstance::resetProgress()
     }
     _tasksCompleted = 0;
     _itemsDoneTotal = 0;
+    recountTallies();
 }
 
 void
@@ -317,6 +373,7 @@ AppInstance::restoreFromCheckpoint(const AppCheckpoint &ck)
     _migrations = ck.migrations;
     _migrationTime = ck.migrationTime;
     _energyJoules = ck.energyJoules;
+    recountTallies();
 }
 
 std::string

@@ -48,7 +48,11 @@ enum class TaskPhase
 /** Render a TaskPhase. */
 const char *toString(TaskPhase p);
 
-/** Per-task runtime state. */
+/**
+ * Per-task runtime state. `phase` and `itemsDone` are written only
+ * through AppInstance::setTaskPhase() and AppInstance::noteItemDone(),
+ * which keep the app's task-state tallies; the other fields are free.
+ */
 struct TaskRunState
 {
     TaskPhase phase = TaskPhase::Idle;
@@ -71,6 +75,13 @@ struct TaskRunState
 
     /** Times this task has been batch-preempted. */
     int preemptions = 0;
+
+    /**
+     * Predecessors that have not finished the batch (AppInstance keeps
+     * it; 0 means predsFullyDone()). Fills what was padding: the struct
+     * stays 32 bytes.
+     */
+    int predsPending = 0;
 
     /**
      * Remaining wall time of a checkpointed in-flight item (mid-item
@@ -166,7 +177,8 @@ class AppInstance
      * Per-task run state. Inline and bounds-checked: this is the single
      * hottest accessor in the simulator (every gating, placement and
      * completion decision goes through it), and the out-of-line call was
-     * measurable in whole-grid profiles.
+     * measurable in whole-grid profiles. Write `phase` and `itemsDone`
+     * only through setTaskPhase() and noteItemDone().
      */
     TaskRunState &
     taskState(TaskId t)
@@ -191,14 +203,36 @@ class AppInstance
     void noteTaskCompleted();
 
     /**
-     * Running sum of itemsDone across all tasks, maintained by the
-     * hypervisor via noteItemProgress() so remaining-work estimates are
-     * O(1) instead of an O(tasks) scan per scheduling pass.
+     * Move task @p t to phase @p p, updating the tallies below
+     * (hypervisor only; the one writer of TaskRunState::phase).
+     */
+    void setTaskPhase(TaskId t, TaskPhase p);
+
+    /**
+     * Account one completed batch item of task @p t: bumps its itemsDone
+     * and the tallies, and when @p t finishes the batch, its successors'
+     * pending-predecessor counts (hypervisor only; the one writer of
+     * TaskRunState::itemsDone outside resets and restores).
+     */
+    void noteItemDone(TaskId t);
+
+    /**
+     * Sum of itemsDone across all tasks, kept by noteItemDone() so
+     * remaining-work estimates are O(1).
      */
     std::int64_t itemsDoneTotal() const { return _itemsDoneTotal; }
 
-    /** Account one completed batch item (call next to ++itemsDone). */
-    void noteItemProgress() { ++_itemsDoneTotal; }
+    /**
+     * Idle tasks with items remaining: the size of the prefetchable
+     * set, and the observation's queue depth. A tally, O(1).
+     */
+    int idlePendingTasks() const { return _idlePending; }
+
+    /**
+     * Tasks configurable under bulk gating, ignoring migration: idle,
+     * items remaining, every predecessor done with the batch. A tally.
+     */
+    int bulkReadyTasks() const { return _bulkReady; }
 
     /** True when every task has processed the full batch. */
     bool done() const;
@@ -210,7 +244,11 @@ class AppInstance
     bool inputsReady(TaskId t, int item) const;
 
     /** True when every predecessor of @p t finished the entire batch. */
-    bool predsFullyDone(TaskId t) const;
+    bool
+    predsFullyDone(TaskId t) const
+    {
+        return taskState(t).predsPending == 0;
+    }
 
     /**
      * True when @p t could be configured now: it is idle with items
@@ -229,6 +267,9 @@ class AppInstance
     void configurableTasksInto(std::vector<TaskId> &out,
                                bool pipelined) const;
 
+    /** configurableTasks().front(), or kTaskNone when it is empty. */
+    TaskId firstConfigurableTask(bool pipelined) const;
+
     /**
      * Tasks eligible for configuration *prefetch*: idle with items
      * remaining, regardless of data readiness, in topological order.
@@ -240,14 +281,18 @@ class AppInstance
     /** As prefetchableTasks(), filling @p out (cleared first). */
     void prefetchableTasksInto(std::vector<TaskId> &out) const;
 
-    /** True if any task is configurable under either discipline. */
-    bool hasConfigurableTask(bool pipelined) const;
+    /** prefetchableTasks().front(), or kTaskNone when it is empty. */
+    TaskId firstPrefetchableTask() const;
 
     /** True if any task has a scheduler queue entry (TaskRunState::queued). */
     bool hasQueuedTask() const;
 
-    /** Slots currently held (Configuring + Resident tasks). */
-    std::size_t slotsUsed() const;
+    /** Slots currently held (Configuring + Resident tasks). A tally. */
+    std::size_t
+    slotsUsed() const
+    {
+        return static_cast<std::size_t>(_slotsHeld);
+    }
 
     /** Resident tasks in topological order. */
     std::vector<TaskId> residentTasks() const;
@@ -370,7 +415,8 @@ class AppInstance
      * Resident/Done tasks return to Idle. The caller must have vacated
      * Resident slots first; tasks still Configuring keep their phase (the
      * in-flight reconfiguration lands normally and the task restarts from
-     * item 0). Accounting (run/reconfig time already consumed) is kept.
+     * item 0). Accounting (run/reconfig time already consumed) is kept;
+     * the task-state tallies are recounted.
      */
     void resetProgress();
     /// @}
@@ -410,7 +456,7 @@ class AppInstance
      * Adopt a checkpoint's progress and accounting (hypervisor only,
      * immediately after construction on the target board). Tasks whose
      * batch completed become Done; the rest restart Idle from their
-     * saved itemsDone.
+     * saved itemsDone. The task-state tallies are recounted.
      */
     void restoreFromCheckpoint(const AppCheckpoint &ck);
     /// @}
@@ -432,14 +478,31 @@ class AppInstance
 
     [[noreturn]] void taskRangePanic(TaskId t) const;
 
+    /** Idle with items remaining: the task wants a slot. */
+    bool
+    idlePending(const TaskRunState &st) const
+    {
+        return st.phase == TaskPhase::Idle && st.itemsDone < _batch;
+    }
+
+    /** Add @p sign (+1 or -1) times @p st's share to the tallies. */
+    void tally(const TaskRunState &st, int sign);
+
+    /** Recompute every tally and predsPending from the task states. */
+    void recountTallies();
+
     std::vector<TaskRunState> _tasks;
     int _tasksCompleted = 0;
+    // Task-state tallies, each equal to a walk over _tasks (see
+    // tally()). They fill former padding, with _everCandidate and
+    // _readyMarked moved beside _failed, so the instance stays 232 bytes.
+    int _slotsHeld = 0;
     std::int64_t _itemsDoneTotal = 0;
+    int _idlePending = 0;
+    int _bulkReady = 0;
 
     double _token = 0.0;
     std::size_t _slotsAllocated = 0;
-    bool _everCandidate = false;
-    bool _readyMarked = false;
     SimTime _candidateSince = kTimeNone;
     std::size_t _cachedGoal = 0;
     std::uint64_t _cachedGoalEpoch = 0;
@@ -453,6 +516,8 @@ class AppInstance
     int _preemptionCount = 0;
     double _energyJoules = 0;
     bool _failed = false;
+    bool _everCandidate = false;
+    bool _readyMarked = false;
     int _itemRetries = 0;
     int _requeues = 0;
 

@@ -30,6 +30,7 @@ Hypervisor::Hypervisor(EventQueue &eq, Fabric &fabric, Scheduler &scheduler,
     _itemDuration.assign(fabric.numSlots(), kTimeNone);
     _pipeLastDone.assign(fabric.numSlots(), kTimeNone);
     _pipePrimed.assign(fabric.numSlots(), 0);
+    _slotKernel.assign(fabric.numSlots(), 0);
     _scheduler.attach(*this);
     _tick = std::make_unique<PeriodicEvent>(
         _eq, _cfg.schedInterval, "sched_tick", [this] {
@@ -316,9 +317,10 @@ Hypervisor::configure(AppInstance &app, TaskId task, SlotId slot_id)
         app.graph().task(task).bitstreamBytes);
 
     slot.beginConfigure(app.id(), task, key, _eq.now());
+    _slotKernel[slot_id] = app.graph().task(task).kernel ? 1 : 0;
     if (_energy)
         _energy->slotBusy(slot_id, _eq.now());
-    st.phase = TaskPhase::Configuring;
+    app.setTaskPhase(task, TaskPhase::Configuring);
     st.slot = slot_id;
     ++_stats.configuresIssued;
     trace(slot_id, app, task, TimelineEventKind::ConfigureBegin);
@@ -478,9 +480,8 @@ Hypervisor::onConfigFailed(AppInstanceId app_id, TaskId task, SlotId slot_id,
 void
 Hypervisor::abortPlacement(AppInstance &app, TaskId task, SlotId slot_id)
 {
-    TaskRunState &st = app.taskState(task);
-    st.phase = TaskPhase::Idle;
-    st.slot = kSlotNone;
+    app.setTaskPhase(task, TaskPhase::Idle);
+    app.taskState(task).slot = kSlotNone;
     markReadyChanged(app);
     _buffers.release(app.id(), task);
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
@@ -596,8 +597,7 @@ Hypervisor::onReconfigDone(AppInstanceId app_id, TaskId task, SlotId slot_id,
         _health->recordSuccess(slot_id);
         _configAttempts[slot_id] = 0;
     }
-    TaskRunState &st = app->taskState(task);
-    st.phase = TaskPhase::Resident;
+    app->setTaskPhase(task, TaskPhase::Resident);
     app->addReconfigTime(reconfig_latency);
     app->noteReconfig();
     if (_energy)
@@ -781,8 +781,7 @@ Hypervisor::onItemDone(SlotId slot_id, SimTime item_duration)
     TaskId task = slot.task();
     TaskRunState &st = app->taskState(task);
     st.executing = false;
-    ++st.itemsDone;
-    app->noteItemProgress();
+    app->noteItemDone(task);
     // New output can make successors configurable.
     markReadyChanged(*app);
     if (_faults)
@@ -887,7 +886,7 @@ Hypervisor::vacateResidentTasks(AppInstance &app)
             slot.abortItem(_eq.now());
             st.executing = false;
         }
-        st.phase = TaskPhase::Idle;
+        app.setTaskPhase(t, TaskPhase::Idle);
         st.slot = kSlotNone;
         st.itemRemaining = kTimeNone;
         _buffers.release(app.id(), t);
@@ -1038,7 +1037,7 @@ Hypervisor::doPreempt(SlotId slot_id)
 
     // Batch-preemption: save the batch state (items completed persist in
     // DDR buffers tracked by the hypervisor) and vacate the slot.
-    st.phase = TaskPhase::Idle;
+    app->setTaskPhase(task, TaskPhase::Idle);
     st.slot = kSlotNone;
     st.executing = false;
     ++st.preemptions;
@@ -1070,10 +1069,8 @@ Hypervisor::completeTask(SlotId slot_id)
     if (!app)
         panic("completing task in slot %u of retired app", slot_id);
     TaskId task = slot.task();
-    TaskRunState &st = app->taskState(task);
-
-    st.phase = TaskPhase::Done;
-    st.slot = kSlotNone;
+    app->setTaskPhase(task, TaskPhase::Done);
+    app->taskState(task).slot = kSlotNone;
     app->noteTaskCompleted();
     _buffers.release(app->id(), task);
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
@@ -1432,12 +1429,7 @@ Hypervisor::slotPipelineFlags(SlotId slot_id)
     const Slot &slot = _fabric.slot(slot_id);
     if (slot.state() != SlotState::Occupied)
         return 0;
-    AppInstance *app = findApp(slot.app());
-    if (!app)
-        return 0;
-    std::uint8_t flags = 0;
-    if (app->graph().task(slot.task()).kernel)
-        flags |= 1;
+    std::uint8_t flags = _slotKernel[slot_id];
     if (_pipePrimed[slot_id] && slot.executing())
         flags |= 2;
     return flags;

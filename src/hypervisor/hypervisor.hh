@@ -607,6 +607,11 @@ class Hypervisor : public SchedulerOps
     std::vector<SimTime> _pipeLastDone;
     /** In-flight item issued at the steady pipeline interval, per slot. */
     std::vector<char> _pipePrimed;
+    /**
+     * 1 when the slot's occupant task carries a kernel model; recorded
+     * at configure, read only while the slot is Occupied.
+     */
+    std::vector<std::uint8_t> _slotKernel;
 
     std::unique_ptr<PeriodicEvent> _tick;
     /** Persistent pass timer: armed per requestPass, constructed once. */

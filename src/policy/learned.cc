@@ -119,20 +119,19 @@ LearnedScheduler::enumerateCandidates(const SchedObservation &obs)
                 continue;
             SchedAction a{};
             a.app = row.id;
-            app->configurableTasksInto(_taskScratch, /*pipelined=*/false);
-            if (!_taskScratch.empty()) {
+            a.task = app->firstConfigurableTask(/*pipelined=*/false);
+            if (a.task != kTaskNone) {
                 a.kind =
                     static_cast<std::uint32_t>(SchedActionKind::Configure);
             } else {
                 // Data-starved app: offer to prefetch its next idle task
                 // so the reconfiguration hides behind upstream compute.
-                app->prefetchableTasksInto(_taskScratch);
-                if (_taskScratch.empty())
+                a.task = app->firstPrefetchableTask();
+                if (a.task == kTaskNone)
                     continue;
                 a.kind =
                     static_cast<std::uint32_t>(SchedActionKind::Prefetch);
             }
-            a.task = _taskScratch.front();
             a.slot = pickFreeSlot(*app, a.task);
             if (a.slot == kSlotNone)
                 continue;

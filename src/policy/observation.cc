@@ -21,26 +21,14 @@ ObservationBuilder::fillAppObs(AppObs &out, SchedulerOps &ops,
     out.itemsRemaining = out.totalItems - app.itemsDoneTotal();
     out.estLatency = ops.estimatedSingleSlotLatency(app);
     out.priority = app.priorityValue();
-    // One task walk: queue depth (idle tasks with items remaining — work
-    // that wants a slot regardless of execution discipline, the
-    // prefetchable set), held slots and streaming-kernel tasks.
+    // Queue depth is the work that wants a slot regardless of execution
+    // discipline (the prefetchable set); it and the held slots are the
+    // app's tallies, the streaming-kernel count a property of its graph.
     const TaskGraph &graph = app.graph();
-    std::int32_t depth = 0;
-    std::int32_t used = 0;
-    std::int32_t piped = 0;
-    for (TaskId t = 0; t < graph.numTasks(); ++t) {
-        const TaskRunState &ts = app.taskState(t);
-        if (ts.phase == TaskPhase::Idle && ts.itemsDone < app.batch())
-            ++depth;
-        used += ts.phase == TaskPhase::Configuring ||
-                ts.phase == TaskPhase::Resident;
-        if (graph.task(t).kernel)
-            ++piped;
-    }
-    out.queueDepth = depth;
-    out.pipelinedTasks =
-        static_cast<std::uint8_t>(std::min<std::int32_t>(piped, 255));
-    out.slotsUsed = used;
+    out.queueDepth = app.idlePendingTasks();
+    out.pipelinedTasks = static_cast<std::uint8_t>(
+        std::min<std::size_t>(graph.numKernelTasks(), 255));
+    out.slotsUsed = static_cast<std::int32_t>(app.slotsUsed());
     out.tasksIncomplete = static_cast<std::int32_t>(graph.numTasks()) -
                           app.tasksCompleted();
     out.launched = app.firstLaunch() != kTimeNone ? 1 : 0;

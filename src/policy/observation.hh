@@ -244,7 +244,7 @@ estimatedRemaining(const AppObs &a)
  * and equal to the previous build's, and @p apps lists the same apps,
  * build() rewrites the header and the slot rows but refreshes only the
  * app-row fields that can move without a version bump (refreshAppObs())
- * instead of re-walking every task. A pass's own configure() and
+ * instead of refilling every row. A pass's own configure() and
  * preempt() calls do not advance the version until the pass returns, so
  * a caller that rebuilds after acting must invalidate() first.
  */
@@ -268,7 +268,8 @@ class ObservationBuilder
     const SchedObservation &observation() const { return _obs; }
 
     /**
-     * Fill one application feature row (padding zeroed). Static so
+     * Fill one application feature row (padding zeroed) in O(1): the
+     * task-state fields come from AppInstance's tallies. Static so
      * schedulers can source per-candidate features through the builder
      * without bounding their candidate count by kMaxAppObs.
      */

@@ -230,10 +230,9 @@ NimblockScheduler::selectAndPlace(const std::vector<AppInstance *> &ordered)
     for (AppInstance *app : ordered) {
         if (app->slotsUsed() >= app->slotsAllocated())
             continue;
-        app->configurableTasksInto(_taskScratch, pipelined_for(*app));
-        if (_taskScratch.empty())
+        TaskId task = app->firstConfigurableTask(pipelined_for(*app));
+        if (task == kTaskNone)
             continue;
-        TaskId task = _taskScratch.front();
 
         SlotId slot = pickFreeSlot(*app, task);
         if (slot != kSlotNone)
@@ -262,10 +261,9 @@ NimblockScheduler::selectAndPlace(const std::vector<AppInstance *> &ordered)
     // is begun automatically if an application has slots available").
     if (ops().fabric().freeSlotCount() > 0) {
         for (AppInstance *app : ordered) {
-            app->configurableTasksInto(_taskScratch, pipelined_for(*app));
-            if (_taskScratch.empty())
+            TaskId task = app->firstConfigurableTask(pipelined_for(*app));
+            if (task == kTaskNone)
                 continue;
-            TaskId task = _taskScratch.front();
             SlotId slot = pickFreeSlot(*app, task);
             if (slot == kSlotNone)
                 break;

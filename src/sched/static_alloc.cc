@@ -83,7 +83,8 @@ StaticAllocScheduler::pass(SchedEvent reason)
         if (reserved == 0)
             continue;
         bool pipelined = app->spec().pipelineAcrossBatch();
-        for (TaskId t : app->configurableTasks(pipelined)) {
+        app->configurableTasksInto(_taskScratch, pipelined);
+        for (TaskId t : _taskScratch) {
             if (app->slotsUsed() >= reserved)
                 break;
             SlotId slot = pickFreeSlot(*app, t);

@@ -37,6 +37,7 @@ TaskGraph::addTask(TaskSpec spec)
               spec.name.c_str());
     }
     auto id = static_cast<TaskId>(_tasks.size());
+    _numKernelTasks += spec.kernel != nullptr;
     _tasks.push_back(std::move(spec));
     _succs.emplace_back();
     _preds.emplace_back();

@@ -51,6 +51,9 @@ class TaskGraph
     std::size_t numTasks() const { return _tasks.size(); }
     std::size_t numEdges() const { return _numEdges; }
 
+    /** Tasks that carry a streaming kernel model (TaskSpec::kernel). */
+    std::size_t numKernelTasks() const { return _numKernelTasks; }
+
     /** Task descriptor by id. */
     const TaskSpec &task(TaskId id) const;
 
@@ -89,6 +92,7 @@ class TaskGraph
     std::vector<std::vector<TaskId>> _succs;
     std::vector<std::vector<TaskId>> _preds;
     std::size_t _numEdges = 0;
+    std::size_t _numKernelTasks = 0;
     bool _validated = false;
     std::vector<TaskId> _topo;
     std::vector<std::size_t> _topoRank;

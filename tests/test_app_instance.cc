@@ -18,6 +18,14 @@ makeLenet(int batch = 4)
     return AppInstance(1, benchmarks::lenet(), batch, Priority::Medium, 0, 0);
 }
 
+/** Complete @p n batch items of task @p t through the tally setter. */
+void
+finishItems(AppInstance &app, TaskId t, int n)
+{
+    for (int i = 0; i < n; ++i)
+        app.noteItemDone(t);
+}
+
 TEST(Priority, FromIntAcceptsLevels)
 {
     EXPECT_EQ(priorityFromInt(1), Priority::Low);
@@ -56,7 +64,7 @@ TEST(AppInstance, SuccessorNeedsPredecessorItems)
 {
     AppInstance app = makeLenet();
     EXPECT_FALSE(app.inputsReady(1, 0));
-    app.taskState(0).itemsDone = 1;
+    app.noteItemDone(0);
     EXPECT_TRUE(app.inputsReady(1, 0));
     EXPECT_FALSE(app.inputsReady(1, 1));
 }
@@ -64,12 +72,12 @@ TEST(AppInstance, SuccessorNeedsPredecessorItems)
 TEST(AppInstance, BulkVsPipelinedConfigurability)
 {
     AppInstance app = makeLenet();
-    app.taskState(0).itemsDone = 1;
+    app.noteItemDone(0);
     // Pipelined: one item from task 0 suffices for task 1.
     EXPECT_TRUE(app.taskConfigurable(1, true));
     // Bulk: task 0 must finish the whole batch.
     EXPECT_FALSE(app.taskConfigurable(1, false));
-    app.taskState(0).itemsDone = 4;
+    finishItems(app, 0, 3);
     EXPECT_TRUE(app.taskConfigurable(1, false));
     EXPECT_TRUE(app.predsFullyDone(1));
 }
@@ -77,16 +85,16 @@ TEST(AppInstance, BulkVsPipelinedConfigurability)
 TEST(AppInstance, NonIdleTasksAreNotConfigurable)
 {
     AppInstance app = makeLenet();
-    app.taskState(0).phase = TaskPhase::Resident;
+    app.setTaskPhase(0, TaskPhase::Resident);
     EXPECT_FALSE(app.taskConfigurable(0, true));
-    app.taskState(0).phase = TaskPhase::Done;
+    app.setTaskPhase(0, TaskPhase::Done);
     EXPECT_FALSE(app.taskConfigurable(0, true));
 }
 
 TEST(AppInstance, FinishedTaskIsNotConfigurable)
 {
     AppInstance app = makeLenet();
-    app.taskState(0).itemsDone = 4; // Batch complete but still Idle.
+    finishItems(app, 0, 4); // Batch complete but still Idle.
     EXPECT_FALSE(app.taskConfigurable(0, true));
 }
 
@@ -103,24 +111,24 @@ TEST(AppInstance, PrefetchableIgnoresDataReadiness)
     AppInstance app = makeLenet();
     auto prefetchable = app.prefetchableTasks();
     EXPECT_EQ(prefetchable.size(), 3u);
-    app.taskState(1).phase = TaskPhase::Configuring;
+    app.setTaskPhase(1, TaskPhase::Configuring);
     EXPECT_EQ(app.prefetchableTasks().size(), 2u);
 }
 
 TEST(AppInstance, SlotsUsedCountsConfiguringAndResident)
 {
     AppInstance app = makeLenet();
-    app.taskState(0).phase = TaskPhase::Configuring;
-    app.taskState(1).phase = TaskPhase::Resident;
-    app.taskState(2).phase = TaskPhase::Done;
+    app.setTaskPhase(0, TaskPhase::Configuring);
+    app.setTaskPhase(1, TaskPhase::Resident);
+    app.setTaskPhase(2, TaskPhase::Done);
     EXPECT_EQ(app.slotsUsed(), 2u);
 }
 
 TEST(AppInstance, OverConsumption)
 {
     AppInstance app = makeLenet();
-    app.taskState(0).phase = TaskPhase::Resident;
-    app.taskState(1).phase = TaskPhase::Resident;
+    app.setTaskPhase(0, TaskPhase::Resident);
+    app.setTaskPhase(1, TaskPhase::Resident);
     app.setSlotsAllocated(1);
     EXPECT_EQ(app.overConsumption(), 1);
     app.setSlotsAllocated(3);
@@ -157,8 +165,8 @@ TEST(AppInstance, CandidateSinceIsSticky)
 TEST(AppInstance, ResidentTasksInTopoOrder)
 {
     AppInstance app = makeLenet();
-    app.taskState(2).phase = TaskPhase::Resident;
-    app.taskState(0).phase = TaskPhase::Resident;
+    app.setTaskPhase(2, TaskPhase::Resident);
+    app.setTaskPhase(0, TaskPhase::Resident);
     auto resident = app.residentTasks();
     ASSERT_EQ(resident.size(), 2u);
     EXPECT_EQ(resident[0], 0u);

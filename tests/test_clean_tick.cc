@@ -10,8 +10,11 @@
  * SchedulerOps that reports 0 ("untracked"), which must turn every fast
  * path off without changing a result. Each config asserts that the path
  * it names actually ran. The incremental ObservationBuilder is checked
- * byte for byte against full rebuilds, and the fabric's free-slot tally
- * against a slot scan.
+ * byte for byte against full rebuilds, the fabric's free-slot tally
+ * against a slot scan, and AppInstance's task-state tallies and the
+ * hypervisor's per-slot pipeline flags against the task-state walks
+ * they replace, before and after every pass of every extended
+ * scheduler.
  */
 
 #include <gtest/gtest.h>
@@ -21,10 +24,12 @@
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "apps/benchmarks.hh"
 #include "apps/registry.hh"
 #include "cluster/cluster.hh"
 #include "core/simulation.hh"
@@ -157,15 +162,16 @@ digestOf(const T &result)
 }
 
 /**
- * A factory-made scheduler behind a forwarding SchedulerOps whose
- * stateVersion() returns 0, the documented "untracked" value: every
- * fast path keyed on the version must stay off.
+ * A factory-made scheduler behind a forwarding SchedulerOps. With
+ * @p untracked the forwarder's stateVersion() returns 0, the documented
+ * "untracked" value: every fast path keyed on the version must stay off.
  */
-class UntrackedScheduler : public Scheduler
+class ForwardingScheduler : public Scheduler
 {
   public:
-    explicit UntrackedScheduler(std::unique_ptr<Scheduler> inner)
-        : Scheduler(inner->name()), _inner(std::move(inner)), _ops(*this)
+    ForwardingScheduler(std::unique_ptr<Scheduler> inner, bool untracked)
+        : Scheduler(inner->name()), _inner(std::move(inner)), _ops(*this),
+          _untracked(untracked)
     {
         _inner->attach(_ops);
     }
@@ -190,7 +196,7 @@ class UntrackedScheduler : public Scheduler
     class Ops : public SchedulerOps
     {
       public:
-        explicit Ops(UntrackedScheduler &outer) : _outer(outer) {}
+        explicit Ops(ForwardingScheduler &outer) : _outer(outer) {}
 
         SimTime now() const override { return hyp().now(); }
         Fabric &fabric() override { return hyp().fabric(); }
@@ -235,7 +241,11 @@ class UntrackedScheduler : public Scheduler
         {
             return hyp().gridContext();
         }
-        std::uint64_t stateVersion() const override { return 0; }
+        std::uint64_t
+        stateVersion() const override
+        {
+            return _outer._untracked ? 0 : hyp().stateVersion();
+        }
         double
         energyJoulesTotal() const override
         {
@@ -249,11 +259,12 @@ class UntrackedScheduler : public Scheduler
 
       private:
         SchedulerOps &hyp() const { return _outer.ops(); }
-        UntrackedScheduler &_outer;
+        ForwardingScheduler &_outer;
     };
 
     std::unique_ptr<Scheduler> _inner;
     Ops _ops;
+    bool _untracked;
 };
 
 /** Outcome of a composed single-board run. */
@@ -266,11 +277,14 @@ struct BoardRun
 /**
  * Simulation::run composed from the same public parts in the same order,
  * with @p scheduler in place of the factory-made one (nimblockStats are
- * left to the caller).
+ * left to the caller). The run ends early once @p abandon (when given)
+ * reads true: a probe that already failed may have left the board
+ * unable to finish.
  */
 BoardRun
 runOnBoard(Scheduler &scheduler, const SystemConfig &cfg,
-           const AppRegistry &registry, const EventSequence &seq)
+           const AppRegistry &registry, const EventSequence &seq,
+           const bool *abandon = nullptr)
 {
     EventQueue eq(cfg.eventQueue);
     Fabric fabric(eq, cfg.fabric);
@@ -302,7 +316,7 @@ runOnBoard(Scheduler &scheduler, const SystemConfig &cfg,
     hyp.start();
     bool stopped = false;
     while (!eq.empty()) {
-        if (!eq.step())
+        if (!eq.step() || (abandon && *abandon))
             break;
         if (!stopped && collector.count() == seq.events.size()) {
             hyp.stop();
@@ -326,12 +340,13 @@ runOnBoard(Scheduler &scheduler, const SystemConfig &cfg,
     return out;
 }
 
-/** runOnBoard with @p cfg's scheduler behind UntrackedScheduler. */
+/** runOnBoard with @p cfg's scheduler behind an untracked forwarder. */
 BoardRun
 runUntracked(const SystemConfig &cfg, const AppRegistry &registry,
              const EventSequence &seq)
 {
-    UntrackedScheduler scheduler(makeScheduler(cfg.scheduler));
+    ForwardingScheduler scheduler(makeScheduler(cfg.scheduler),
+                                  /*untracked=*/true);
     BoardRun out = runOnBoard(scheduler, cfg, registry, seq);
     if (auto *nb = dynamic_cast<NimblockScheduler *>(&scheduler.inner()))
         out.result.nimblockStats = nb->nimblockStats();
@@ -713,6 +728,328 @@ TEST_F(CleanTickTest, IncrementalSnapshotsMatchFullRebuilds)
                                                    seq);
     }
 }
+
+// ---------------------------------------------------------------------
+// AppInstance's task-state tallies against the walks they replace.
+
+/**
+ * Each task-state tally of @p app against a walk over its task states:
+ * empty when all agree, else the first disagreement.
+ */
+std::string
+tallyMismatch(const AppInstance &app)
+{
+    const TaskGraph &g = app.graph();
+    std::size_t held = 0;
+    int idle_pending = 0;
+    int bulk_ready = 0;
+    for (TaskId t = 0; t < g.numTasks(); ++t) {
+        const TaskRunState &st = app.taskState(t);
+        int pending = 0;
+        for (TaskId p : g.predecessors(t))
+            pending += app.taskState(p).itemsDone < app.batch();
+        if (st.predsPending != pending)
+            return "predsPending of task " + std::to_string(t);
+        if (app.predsFullyDone(t) != (pending == 0))
+            return "predsFullyDone of task " + std::to_string(t);
+        held += st.phase == TaskPhase::Configuring ||
+                st.phase == TaskPhase::Resident;
+        if (st.phase == TaskPhase::Idle && st.itemsDone < app.batch()) {
+            ++idle_pending;
+            bulk_ready += pending == 0;
+        }
+    }
+    if (app.slotsUsed() != held)
+        return "slotsUsed";
+    if (app.idlePendingTasks() != idle_pending)
+        return "idlePendingTasks";
+    if (app.bulkReadyTasks() != bulk_ready)
+        return "bulkReadyTasks";
+    return {};
+}
+
+/**
+ * The first-hit queries of @p app against the fronts of the list
+ * queries: empty when all agree, else the first disagreement.
+ */
+std::string
+firstHitMismatch(const AppInstance &app)
+{
+    for (bool pipelined : {false, true}) {
+        std::vector<TaskId> all = app.configurableTasks(pipelined);
+        if (app.firstConfigurableTask(pipelined) !=
+            (all.empty() ? kTaskNone : all.front()))
+            return pipelined ? "firstConfigurableTask(pipelined)"
+                             : "firstConfigurableTask(bulk)";
+    }
+    std::vector<TaskId> prefetch = app.prefetchableTasks();
+    if (app.firstPrefetchableTask() !=
+        (prefetch.empty() ? kTaskNone : prefetch.front()))
+        return "firstPrefetchableTask";
+    return {};
+}
+
+/**
+ * A factory-made scheduler bracketed by tally checks: before and after
+ * every pass, each live app's tallies and first-hit queries must equal
+ * their walks, and each slot's pipeline flags the occupant's kernel
+ * model looked up through findApp() and the graph.
+ */
+class TallyProbe : public ForwardingScheduler
+{
+  public:
+    explicit TallyProbe(std::unique_ptr<Scheduler> inner)
+        : ForwardingScheduler(std::move(inner), /*untracked=*/false)
+    {
+    }
+
+    void
+    pass(SchedEvent reason) override
+    {
+        check();
+        ForwardingScheduler::pass(reason);
+        check();
+    }
+
+    void
+    onAppAdmitted(AppInstance &app) override
+    {
+        // Pooling recycles an instance together with its id; without
+        // it ids are never reissued.
+        recycled += !_seenIds.insert(app.id()).second;
+        ForwardingScheduler::onAppAdmitted(app);
+    }
+
+    std::uint64_t checks = 0;
+    std::uint64_t recycled = 0;
+    std::uint64_t pipelinedSlots = 0;
+    bool failed = false;
+
+  private:
+    void
+    mismatch(const std::string &what)
+    {
+        if (!failed)
+            ADD_FAILURE() << "first mismatch at t=" << ops().now() << ": "
+                          << what;
+        failed = true;
+    }
+
+    void
+    check()
+    {
+        SchedulerOps &o = ops();
+        ++checks;
+        for (AppInstance *app : o.liveApps()) {
+            std::string bad = tallyMismatch(*app);
+            if (bad.empty())
+                bad = firstHitMismatch(*app);
+            if (!bad.empty())
+                mismatch(app->toString() + " " + bad);
+        }
+        for (const Slot &s : o.fabric().slots()) {
+            const std::uint8_t flags = o.slotPipelineFlags(s.id());
+            std::uint8_t kernel = 0;
+            if (s.state() == SlotState::Occupied) {
+                const AppInstance *app = o.findApp(s.app());
+                kernel = app && app->graph().task(s.task()).kernel ? 1 : 0;
+            }
+            pipelinedSlots += kernel;
+            if ((flags & 1) != kernel || (flags & ~3) != 0 ||
+                ((flags & 2) && !s.executing()))
+                mismatch("slot " + std::to_string(s.id()) + " flags " +
+                         std::to_string(flags));
+        }
+    }
+
+    std::set<AppInstanceId> _seenIds;
+};
+
+TEST_F(CleanTickTest, TalliesMatchWalksAroundEveryPass)
+{
+    std::vector<BoardCase> cases = boardCases();
+    BoardCase pool{"app_pool", {}, extendedRegistry(),
+                   mixedSequence("pool", {"lenet", "hash_tree",
+                                          "image_compression", "alexnet"},
+                                 16, 41)};
+    pool.cfg.hypervisor.appPoolSize = 4;
+    cases.push_back(pool);
+
+    std::uint64_t requeues = 0;
+    std::uint64_t recycled = 0;
+    std::uint64_t pipelined_slots = 0;
+    for (EventQueueImpl impl : {EventQueueImpl::Heap, EventQueueImpl::Wheel}) {
+        for (BoardCase &c : cases) {
+            c.cfg.eventQueue = impl;
+            for (const std::string &sched : extendedSchedulers()) {
+                SCOPED_TRACE(std::string(c.name) + "/" + sched +
+                             (impl == EventQueueImpl::Heap ? "/heap"
+                                                           : "/wheel"));
+                TallyProbe probe(makeScheduler(sched));
+                BoardRun run = runOnBoard(probe, c.cfg, c.registry, c.seq,
+                                          &probe.failed);
+                EXPECT_GT(probe.checks, 0u);
+                if (probe.failed)
+                    return;
+                requeues += run.result.hypervisorStats.appRequeues;
+                recycled += probe.recycled;
+                pipelined_slots += probe.pipelinedSlots;
+            }
+        }
+    }
+    EXPECT_GT(requeues, 0u) << "no requeue recounted the tallies";
+    EXPECT_GT(recycled, 0u) << "no pooled instance was recycled";
+    EXPECT_GT(pipelined_slots, 0u) << "no slot held a kernel-model task";
+}
+
+AppInstance
+makeLenet(int batch)
+{
+    return AppInstance(1, benchmarks::lenet(), batch, Priority::Medium, 0, 0);
+}
+
+/** Complete @p n batch items of task @p t through the tally setter. */
+void
+finishItems(AppInstance &app, TaskId t, int n)
+{
+    for (int i = 0; i < n; ++i)
+        app.noteItemDone(t);
+}
+
+TEST(AppInstanceTally, FreshAndTransitionsMatchWalk)
+{
+    AppInstance app = makeLenet(2);
+    EXPECT_EQ(tallyMismatch(app), "");
+    EXPECT_EQ(app.idlePendingTasks(), 3);
+    EXPECT_EQ(app.bulkReadyTasks(), 1);
+    app.setTaskPhase(0, TaskPhase::Configuring);
+    EXPECT_EQ(tallyMismatch(app), "");
+    app.setTaskPhase(0, TaskPhase::Resident);
+    app.noteItemDone(0);
+    EXPECT_EQ(tallyMismatch(app), "");
+    EXPECT_EQ(app.bulkReadyTasks(), 0);
+    app.noteItemDone(0);
+    EXPECT_EQ(tallyMismatch(app), "");
+    EXPECT_EQ(app.bulkReadyTasks(), 1); // Task 1's inputs are complete.
+    EXPECT_EQ(app.itemsDoneTotal(), 2);
+    app.setTaskPhase(0, TaskPhase::Done);
+    EXPECT_EQ(tallyMismatch(app), "");
+}
+
+TEST(AppInstanceTally, PreemptedAtFullBatchIsNotPending)
+{
+    AppInstance app = makeLenet(2);
+    app.setTaskPhase(0, TaskPhase::Configuring);
+    app.setTaskPhase(0, TaskPhase::Resident);
+    finishItems(app, 0, 2);
+    // Preempted at the item boundary before the hypervisor completed it.
+    app.setTaskPhase(0, TaskPhase::Idle);
+    EXPECT_EQ(tallyMismatch(app), "");
+    EXPECT_EQ(app.idlePendingTasks(), 2);
+    EXPECT_EQ(app.bulkReadyTasks(), 1);
+    EXPECT_EQ(app.firstPrefetchableTask(), 1u);
+    EXPECT_EQ(app.firstConfigurableTask(false), 1u);
+    EXPECT_EQ(app.slotsUsed(), 0u);
+}
+
+TEST(AppInstanceTally, ResetProgressKeepsConfiguringTasks)
+{
+    AppInstance app = makeLenet(2);
+    app.setTaskPhase(0, TaskPhase::Configuring);
+    app.setTaskPhase(0, TaskPhase::Resident);
+    finishItems(app, 0, 2);
+    app.setTaskPhase(0, TaskPhase::Done);
+    app.noteTaskCompleted();
+    app.setTaskPhase(1, TaskPhase::Configuring);
+    EXPECT_EQ(tallyMismatch(app), "");
+
+    app.resetProgress();
+    EXPECT_EQ(tallyMismatch(app), "");
+    EXPECT_EQ(app.taskState(1).phase, TaskPhase::Configuring);
+    EXPECT_EQ(app.slotsUsed(), 1u);
+    EXPECT_EQ(app.idlePendingTasks(), 2); // Tasks 0 and 2.
+    EXPECT_EQ(app.bulkReadyTasks(), 1);   // Task 0 only.
+    EXPECT_EQ(app.taskState(1).predsPending, 1);
+    EXPECT_EQ(app.itemsDoneTotal(), 0);
+    EXPECT_EQ(app.tasksCompleted(), 0);
+}
+
+TEST(AppInstanceTally, RestoreFromCheckpointWithDoneAndPartialTasks)
+{
+    AppCheckpoint ck = makeLenet(4).captureCheckpoint();
+    ck.itemsDone = {4, 2, 0};
+    AppInstance app = makeLenet(4);
+    app.restoreFromCheckpoint(ck);
+    EXPECT_EQ(tallyMismatch(app), "");
+    EXPECT_EQ(firstHitMismatch(app), "");
+    EXPECT_EQ(app.taskState(0).phase, TaskPhase::Done);
+    EXPECT_EQ(app.tasksCompleted(), 1);
+    EXPECT_EQ(app.itemsDoneTotal(), 6);
+    EXPECT_EQ(app.idlePendingTasks(), 2);
+    EXPECT_EQ(app.bulkReadyTasks(), 1);
+    EXPECT_EQ(app.firstConfigurableTask(false), 1u);
+    EXPECT_EQ(app.taskState(2).predsPending, 1);
+}
+
+TEST(AppInstanceTally, ReinitFromAlexnetToLenet)
+{
+    AppInstance app(1, benchmarks::alexnet(), 2, Priority::Low, 0, 0);
+    ASSERT_EQ(app.graph().numTasks(), 38u);
+    const TaskId conv1 = app.graph().topoOrder().front();
+    app.setTaskPhase(conv1, TaskPhase::Configuring);
+    app.setTaskPhase(conv1, TaskPhase::Resident);
+    finishItems(app, conv1, 2);
+    EXPECT_EQ(tallyMismatch(app), "");
+    EXPECT_EQ(app.bulkReadyTasks(), 4); // The conv2 stage.
+
+    app.reinit(benchmarks::lenet(), 3, Priority::High, simtime::ms(1), 5);
+    ASSERT_EQ(app.graph().numTasks(), 3u);
+    EXPECT_EQ(tallyMismatch(app), "");
+    EXPECT_EQ(firstHitMismatch(app), "");
+    EXPECT_EQ(app.slotsUsed(), 0u);
+    EXPECT_EQ(app.idlePendingTasks(), 3);
+    EXPECT_EQ(app.bulkReadyTasks(), 1);
+    EXPECT_EQ(app.itemsDoneTotal(), 0);
+}
+
+TEST(AppInstanceTally, FirstHitQueriesEqualListFronts)
+{
+    // Walk an alexnet through its batch one task at a time.
+    AppInstance app(1, benchmarks::alexnet(), 2, Priority::Low, 0, 0);
+    EXPECT_EQ(firstHitMismatch(app), "");
+    for (TaskId t : app.graph().topoOrder()) {
+        SCOPED_TRACE(t);
+        app.setTaskPhase(t, TaskPhase::Configuring);
+        EXPECT_EQ(firstHitMismatch(app), "");
+        app.setTaskPhase(t, TaskPhase::Resident);
+        app.noteItemDone(t);
+        EXPECT_EQ(firstHitMismatch(app), "");
+        EXPECT_EQ(tallyMismatch(app), "");
+        app.noteItemDone(t);
+        app.setTaskPhase(t, TaskPhase::Done);
+        EXPECT_EQ(firstHitMismatch(app), "");
+        EXPECT_EQ(tallyMismatch(app), "");
+    }
+    EXPECT_EQ(app.firstPrefetchableTask(), kTaskNone);
+
+    // A migrating app offers nothing configurable; prefetch ignores the
+    // latch, as the list query does.
+    AppInstance mig = makeLenet(4);
+    mig.setMigrating(true);
+    EXPECT_EQ(mig.firstConfigurableTask(false), kTaskNone);
+    EXPECT_EQ(mig.firstConfigurableTask(true), kTaskNone);
+    EXPECT_EQ(mig.firstPrefetchableTask(), 0u);
+    EXPECT_EQ(firstHitMismatch(mig), "");
+}
+
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+TEST(AppInstanceTally, TalliesFitThePadding)
+{
+    // The tallies sit in what was padding (x86-64, libstdc++).
+    EXPECT_EQ(sizeof(TaskRunState), 32u);
+    EXPECT_EQ(sizeof(AppInstance), 232u);
+}
+#endif
 
 // ---------------------------------------------------------------------
 // The fabric's free-slot tally against a slot scan.

@@ -203,6 +203,61 @@ BENCHMARK(BM_EventQueueTimers)
     ->Args({1000, 0})
     ->Args({1000, 1});
 
+/**
+ * Hold model of the bare event kernel: fill the queue to `depth`, then
+ * step it and schedule one replacement per fired event, so each item is
+ * one schedule plus one fire at a constant pending depth, the regime
+ * where the heap's O(log n) and the wheel's O(1) diverge. 75% of the
+ * holds are sub-ms and stay on the wheel's level 0; 25% run 1-100 ms and
+ * cascade down from upper levels before firing. This is the measurement
+ * behind EventQueue::kAutoWheelThreshold.
+ */
+void
+BM_EventQueueHold(benchmark::State &state)
+{
+    const auto depth = static_cast<std::size_t>(state.range(0));
+    const EventQueueImpl impl =
+        state.range(1) ? EventQueueImpl::Wheel : EventQueueImpl::Heap;
+    constexpr int kStepsPerIter = 1000;
+    EventQueue eq(impl);
+    eq.reserve(depth + 64);
+    Rng rng(0xbadc0ffeeULL + depth);
+    auto delta = [&rng]() -> SimTime {
+        if (rng.bernoulli(0.75))
+            return 1 + rng.uniformInt(0, simtime::us(800));
+        return 1 + rng.uniformInt(simtime::ms(1), simtime::ms(100));
+    };
+    auto step = [&] {
+        const std::uint64_t before = eq.firedCount();
+        benchmark::DoNotOptimize(eq.step());
+        for (std::uint64_t i = eq.firedCount() - before; i > 0; --i)
+            eq.schedule(eq.now() + delta(), "hold", [] {});
+    };
+    for (std::size_t i = 0; i < depth; ++i)
+        eq.schedule(delta(), "hold", [] {});
+    for (int i = 0; i < kStepsPerIter; ++i) // Reach the steady footprint.
+        step();
+
+    const std::uint64_t fired_before = eq.firedCount();
+    AllocScope allocs;
+    for (auto _ : state) {
+        for (int i = 0; i < kStepsPerIter; ++i)
+            step();
+    }
+    const double fired = static_cast<double>(eq.firedCount() - fired_before);
+    state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+    allocs.finish(state, fired);
+}
+
+BENCHMARK(BM_EventQueueHold)
+    ->ArgNames({"depth", "wheel"})
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1})
+    ->Args({100000, 0})
+    ->Args({100000, 1});
+
 void
 BM_BitstreamStoreHitPath(benchmark::State &state)
 {

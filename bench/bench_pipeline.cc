@@ -19,8 +19,8 @@
  *   - the model's cold item latency and steady-state issue interval.
  *
  * Results are also written as BENCH_pipeline.json (override with
- * --json PATH) for the CI bench-smoke artifact and the committed
- * baseline guarded by scripts/check_bench_regression.py.
+ * --json PATH). CI compares the --quick output exactly against
+ * bench/expected/pipeline.json with scripts/check_bench_regression.py.
  *
  * `bench_pipeline --help` lists the flags and their defaults; --app and
  * --sched restrict the sweep to one row/column.

@@ -29,7 +29,7 @@ struct SystemConfig
      * Event-kernel ready structure. Auto resolves per run from the
      * sequence size: the binary heap for shallow pending sets, the
      * hierarchical time wheel for deep ones (crossover measured by
-     * bench_sim_innerloop's queue-depth sweep). All implementations
+     * BM_EventQueueHold in bench_fabric_microbench). All implementations
      * produce byte-identical results (see tests/test_innerloop_identical
      * and docs/event_kernel.md), so the knob only affects throughput.
      */

@@ -8,9 +8,10 @@
  * enabled. Binaries that never reference the API (the tests, the
  * sanitizer jobs) link the toolchain's default allocator untouched.
  *
- * The counters make "the hot path allocates nothing" a measured number in
- * bench_sim_innerloop and bench_fabric_microbench instead of an
- * assertion.
+ * The counters make "the hot path allocates nothing" a measured number:
+ * bench_fabric_microbench reports allocations per item, bench_soak per
+ * steady-window event, and nimblock_memhook_tests (MemhookZeroAlloc)
+ * asserts zero in every steady-state window.
  */
 
 #ifndef NIMBLOCK_CORE_MEMHOOK_HH

@@ -37,7 +37,7 @@ Hypervisor::Hypervisor(EventQueue &eq, Fabric &fabric, Scheduler &scheduler,
             // Idle-tick elision happens at fire time: parking only when
             // no pass is pending keeps the event order identical to a
             // free-running timer (a co-timed pass could admit work).
-            if (_cfg.elideIdleTicks && _live.empty() && !_passPending) {
+            if (_live.empty() && !_passPending) {
                 _tick->stop();
                 return;
             }
@@ -103,7 +103,7 @@ void
 Hypervisor::start()
 {
     _started = true;
-    if (_cfg.elideIdleTicks && _live.empty()) {
+    if (_live.empty()) {
         // Nothing to schedule yet: pin the tick grid without arming so a
         // later aligned restart fires at the times a free-running timer
         // would have.
@@ -195,7 +195,7 @@ Hypervisor::addLive(std::unique_ptr<AppInstance> inst)
     }
     markReadyChanged(app);
     countSample(_ctrLiveApps, static_cast<double>(_live.size()));
-    if (_started && _cfg.elideIdleTicks && !_tick->running())
+    if (_started && !_tick->running())
         _tick->startAligned();
     _scheduler.onAppAdmitted(app);
     return app;
@@ -1303,9 +1303,10 @@ Hypervisor::runPass(SchedEvent reason)
     // previous action-free pass it is a fixpoint — the body (and the
     // stall-rescue scan, equally state-determined) can be skipped. The
     // pass event itself already fired, so coalescing windows, event
-    // counts and pass counts match a non-eliding run exactly.
+    // counts and pass counts match a run that executes every pass body
+    // (pinned by the eager goldens in tests/test_innerloop_identical.cc).
     if (reason == SchedEvent::Tick && !_stateDirty &&
-        _cfg.elidePurePasses && _scheduler.passIsPure()) {
+        _scheduler.passIsPure()) {
         ++_stats.purePassesElided;
         _inPass = false;
         return;
@@ -1397,23 +1398,26 @@ Hypervisor::estimatedSingleSlotLatency(AppInstance &app)
 {
     if (app.latencyEstimate() != kTimeNone)
         return app.latencyEstimate();
-    auto key = std::make_pair(app.specPtr(), app.batch());
-    auto it = _latencyCache.find(key);
-    if (it == _latencyCache.end()) {
-        // Probe the grid's pre-warmed table first: inside experiment
-        // grids and benchmarks the estimate was computed before the run
-        // started, so the fill here is a lookup instead of an estimate.
-        SimTime lat = _gridCtx ? _gridCtx->singleSlotLatency(
-                                     app.specPtr().get(), app.batch())
-                               : kTimeNone;
-        if (lat == kTimeNone)
-            lat = singleSlotLatency(
+    // Probe the grid's pre-warmed table first: inside experiment grids
+    // and benchmarks the estimate was computed before the run started,
+    // so a hit is a lookup that allocates nothing. The private cache
+    // holds only the estimates computed here.
+    SimTime lat = _gridCtx ? _gridCtx->singleSlotLatency(
+                                 app.specPtr().get(), app.batch())
+                           : kTimeNone;
+    if (lat == kTimeNone) {
+        auto key = std::make_pair(app.specPtr(), app.batch());
+        auto it = _latencyCache.find(key);
+        if (it == _latencyCache.end()) {
+            SimTime est = singleSlotLatency(
                 app.graph(), app.batch(), reconfigLatencyEstimate(),
                 _fabric.config().psBandwidthBytesPerSec);
-        it = _latencyCache.emplace(key, lat).first;
+            it = _latencyCache.emplace(key, est).first;
+        }
+        lat = it->second;
     }
-    app.setLatencyEstimate(it->second);
-    return it->second;
+    app.setLatencyEstimate(lat);
+    return lat;
 }
 
 SimTime

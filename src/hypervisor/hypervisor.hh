@@ -71,30 +71,6 @@ struct HypervisorConfig
     SimTime checkpointLatency = simtime::ms(5);
 
     /**
-     * Park the periodic scheduling tick while no application is live and
-     * restart it phase-aligned on the next arrival. A tick with nothing
-     * to schedule is a no-op pass, so eliding it changes no
-     * per-application metric — only the schedulingPasses / event-fired
-     * counters. Disable to reproduce the PR 1 event stream exactly.
-     */
-    bool elideIdleTicks = true;
-
-    /**
-     * Skip the body of a tick-triggered scheduling pass when the
-     * scheduler declares its pass pure (Scheduler::passIsPure()) and no
-     * hypervisor state changed since the previous pass: such a pass is a
-     * fixpoint that can issue no action. The pass event itself still
-     * fires (so requestPass coalescing windows and event counts are
-     * identical to a run with the knob off) — only the scheduler body
-     * and stall-rescue scan are elided; schedulingPasses still counts
-     * it and purePassesElided records the saving. PREMA, Nimblock and
-     * the learned policy are never elided, because every tick moves
-     * their tokens or their RNG and weights; they skip the rest of a
-     * clean tick themselves (see Scheduler::passIsPure()).
-     */
-    bool elidePurePasses = true;
-
-    /**
      * Record run telemetry (ready-queue depth, scheduling passes, buffer
      * occupancy, CAP backlog, bitstream-cache hit rate, ...) into a
      * CounterRegistry for the TraceExporter / CSV dump. Off by default:
@@ -613,6 +589,12 @@ class Hypervisor : public SchedulerOps
      */
     std::vector<std::uint8_t> _slotKernel;
 
+    /**
+     * Periodic scheduling tick. Parked while no application is live and
+     * restarted phase-aligned on the next admission: a tick with nothing
+     * to schedule is a no-op pass, so parking it changes no result, only
+     * schedulingPasses and the events fired.
+     */
     std::unique_ptr<PeriodicEvent> _tick;
     /** Persistent pass timer: armed per requestPass, constructed once. */
     TimerId _passTimer = kTimerNone;
@@ -625,8 +607,8 @@ class Hypervisor : public SchedulerOps
      * True when hypervisor/fabric state may have changed since the last
      * executed scheduler pass: set by every non-tick pass trigger and by
      * any action a pass issues, cleared after an action-free pass. While
-     * false, a pure scheduler's tick pass is a provable no-op (see
-     * HypervisorConfig::elidePurePasses).
+     * false, a pure scheduler's tick pass is a provable no-op, and
+     * runPass() skips its body (see Scheduler::passIsPure()).
      */
     bool _stateDirty = true;
     /** Bumped on every configure/preempt attempt (dirty tracking). */
@@ -640,12 +622,14 @@ class Hypervisor : public SchedulerOps
     std::uint64_t _stateVersion = 1;
 
     /**
-     * Cache of single-slot latency estimates keyed by (spec, batch).
-     * Holding the shared_ptr pins each spec's lifetime so a later spec
-     * allocated at a recycled address (workloads that mint a fresh spec
-     * per submission, e.g. withEstimateError()) can never alias a stale
-     * entry; keying on the pointer still avoids rebuilding a string key
-     * on every estimate (PREMA asks from inside its sort pass).
+     * Single-slot latency estimates this hypervisor computed itself
+     * (GridContext hits are memoized on the app only), keyed by
+     * (spec, batch). Holding the shared_ptr pins each spec's lifetime so
+     * a later spec allocated at a recycled address (workloads that mint
+     * a fresh spec per submission, e.g. withEstimateError()) can never
+     * alias a stale entry; keying on the pointer still avoids rebuilding
+     * a string key on every estimate (PREMA asks from inside its sort
+     * pass).
      */
     std::map<std::pair<AppSpecPtr, int>, SimTime> _latencyCache;
 

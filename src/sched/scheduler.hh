@@ -245,11 +245,12 @@ class Scheduler
      * its pass() is an idempotent function of hypervisor/fabric state —
      * running it twice with no state change in between issues no action
      * the first run didn't (and mutates nothing observable, thanks to
-     * already-queued dedup). The hypervisor uses this to skip provable
-     * no-op tick passes (see HypervisorConfig::elidePurePasses).
-     * Policies with time-driven state must return false: every tick
-     * accumulates PREMA's and Nimblock's tokens, and draws the learned
-     * policy's RNG and updates its weights. They reach a partial
+     * already-queued dedup). The hypervisor uses this to skip the body
+     * of a provable no-op tick pass: the pass event still fires and
+     * counts in schedulingPasses, and purePassesElided records the
+     * saving. Policies with time-driven state must return false: every
+     * tick accumulates PREMA's and Nimblock's tokens, and draws the
+     * learned policy's RNG and updates its weights. They reach a partial
      * fixpoint instead: on a clean tick — stateVersion() unchanged
      * since a pass that issued no configure or preempt — each pays only
      * for that time-driven work and skips the placement work it knows

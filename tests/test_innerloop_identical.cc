@@ -2,16 +2,19 @@
  * @file
  * Golden equivalence test for the inner-loop optimizations.
  *
- * Idle-tick elision (and the allocation-avoidance work that rides with
- * it) must be invisible in results: for every evaluation scheduler, a run
- * with the knob off and a run with it on must produce byte-identical
- * per-application records and the same makespan. Only the bookkeeping
- * counters that measure the optimization itself — scheduling passes and
- * kernel events fired — are allowed to differ (and the elided run must
- * never do *more* work).
+ * Idle-tick and pure-pass elision must be invisible in results: for every
+ * evaluation scheduler, a run must produce the per-application records,
+ * makespan and result-bearing counters of the eager hypervisor, which
+ * ran every tick and every pass body. Only the bookkeeping counters that
+ * measure the elision itself (scheduling passes and kernel events fired)
+ * may differ, and the elided run must never do *more* work. The eager
+ * side is pinned by goldens recorded from the last build that could still
+ * run it; the other tests compare two configurations that still exist.
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -50,6 +53,104 @@ recordsCsv(const RunResult &result)
     return out;
 }
 
+/** FNV-1a over recordsCsv(): the records digest of a golden. */
+std::uint64_t
+recordsDigest(const RunResult &result)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : recordsCsv(result)) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * One run of the eager hypervisor: idle ticks never parked (the first
+ * three tests) or every pass body executed (the pure-pass test). The
+ * last field is the pure-pass count of the same run with both elisions
+ * on, which is the only hypervisor left.
+ */
+struct EagerGolden
+{
+    const char *scheduler;
+    std::uint64_t records;
+    SimTime makespan;
+    std::uint64_t retired;
+    std::uint64_t configures;
+    std::uint64_t preemptions;
+    std::uint64_t items;
+    std::uint64_t passes;
+    std::uint64_t events;
+    std::uint64_t eagerElided; //!< purePassesElided of the eager run.
+    std::uint64_t elided;      //!< purePassesElided with both elisions.
+};
+
+/**
+ * The elided run @p r against its eager golden: identical results,
+ * never more passes or events, the recorded elision count.
+ */
+void
+expectMatchesEager(const RunResult &r, const EagerGolden &g)
+{
+    SCOPED_TRACE(g.scheduler);
+    EXPECT_EQ(recordsDigest(r), g.records);
+    EXPECT_EQ(r.makespan, g.makespan);
+    EXPECT_EQ(r.hypervisorStats.appsRetired, g.retired);
+    EXPECT_EQ(r.hypervisorStats.configuresIssued, g.configures);
+    EXPECT_EQ(r.hypervisorStats.preemptionsHonored, g.preemptions);
+    EXPECT_EQ(r.hypervisorStats.itemsExecuted, g.items);
+    EXPECT_LE(r.hypervisorStats.schedulingPasses, g.passes);
+    EXPECT_LE(r.eventsFired, g.events);
+    EXPECT_EQ(r.hypervisorStats.purePassesElided, g.elided);
+}
+
+// Recorded at commit 940e6dc, the last with the elision knobs, with
+// idle-tick elision off and pure-pass elision on.
+constexpr EagerGolden kSparseIdleGoldens[] = {
+    {"baseline", 0x239eb1c443a0f3fcull, 29132460619, 6, 18, 0, 48, 144,
+     294, 70, 11},
+    {"fcfs", 0x42be682920a88027ull, 29304432779, 6, 18, 0, 48, 145, 296, 68,
+     12},
+    {"prema", 0x42be682920a88027ull, 29304432779, 6, 18, 0, 48, 145, 296, 0,
+     0},
+    {"rr", 0x835bc2ad3846c915ull, 29436261899, 6, 18, 0, 48, 145, 308, 67,
+     11},
+    {"nimblock", 0x1992389c0748afacull, 29304432779, 6, 18, 0, 48, 145, 299,
+     0, 0},
+};
+
+constexpr EagerGolden kTickAlignedGoldens[] = {
+    {"baseline", 0x0d280b55affd3eeaull, 16300282528, 3, 12, 0, 18, 70, 152,
+     37, 1},
+    {"fcfs", 0x01edf261d706b6f7ull, 16405531104, 3, 12, 0, 18, 71, 154, 35,
+     1},
+    {"prema", 0x01edf261d706b6f7ull, 16405531104, 3, 12, 0, 18, 71, 154, 0,
+     0},
+    {"rr", 0x8e679bd355a94da7ull, 16537360224, 3, 12, 0, 18, 71, 157, 34, 0},
+    {"nimblock", 0x00980b5344bb305dull, 16405531104, 3, 12, 0, 18, 71, 154,
+     0, 0},
+};
+
+constexpr EagerGolden kIdleSavingGolden = {
+    "nimblock", 0xdf5e4d372b00d0caull, 30405531104, 2, 6, 0, 6, 89, 182, 0,
+    0};
+
+// Recorded at the same commit with pure-pass elision off and idle-tick
+// elision on.
+constexpr EagerGolden kPurePassGoldens[] = {
+    {"baseline", 0x3bc55fd61b2e687cull, 1721346832644, 8, 167, 0, 460, 4665,
+     9653, 0, 4288},
+    {"fcfs", 0xfaf888838fa61317ull, 788266248905, 8, 167, 0, 460, 2583, 5312,
+     0, 1938},
+    {"prema", 0x3ae820b9cdb61868ull, 820414983293, 8, 167, 0, 460, 2686,
+     5516, 0, 0},
+    {"rr", 0x38c6b9e013fd82a6ull, 790884084290, 8, 167, 0, 460, 2609, 5372,
+     0, 1953},
+    {"nimblock", 0x536f33c6cb40832full, 826802863908, 8, 168, 1, 460, 2650,
+     5492, 0, 0},
+};
+
 class InnerloopIdenticalTest : public ::testing::Test
 {
   protected:
@@ -57,12 +158,10 @@ class InnerloopIdenticalTest : public ::testing::Test
     void TearDown() override { setQuiet(false); }
 
     RunResult
-    run(const std::string &scheduler, const EventSequence &seq,
-        bool elide)
+    run(const std::string &scheduler, const EventSequence &seq)
     {
         SystemConfig cfg;
         cfg.scheduler = scheduler;
-        cfg.hypervisor.elideIdleTicks = elide;
         return Simulation(cfg, registry).run(seq);
     }
 
@@ -109,33 +208,9 @@ TEST_F(InnerloopIdenticalTest, ElisionIsResultInvariantForEveryScheduler)
     gen.maxBatch = 4;
     EventSequence seq = generateSequence("golden", gen, Rng(42));
 
-    for (const std::string &name : evaluationSchedulers()) {
-        RunResult off = run(name, seq, /*elide=*/false);
-        RunResult on = run(name, seq, /*elide=*/true);
-
-        EXPECT_EQ(recordsCsv(off), recordsCsv(on)) << name;
-        EXPECT_EQ(off.makespan, on.makespan) << name;
-
-        // Result-bearing counters must agree too.
-        EXPECT_EQ(off.hypervisorStats.appsRetired,
-                  on.hypervisorStats.appsRetired)
-            << name;
-        EXPECT_EQ(off.hypervisorStats.configuresIssued,
-                  on.hypervisorStats.configuresIssued)
-            << name;
-        EXPECT_EQ(off.hypervisorStats.preemptionsHonored,
-                  on.hypervisorStats.preemptionsHonored)
-            << name;
-        EXPECT_EQ(off.hypervisorStats.itemsExecuted,
-                  on.hypervisorStats.itemsExecuted)
-            << name;
-
-        // The optimization counters may differ, but only downward.
-        EXPECT_LE(on.hypervisorStats.schedulingPasses,
-                  off.hypervisorStats.schedulingPasses)
-            << name;
-        EXPECT_LE(on.eventsFired, off.eventsFired) << name;
-    }
+    ASSERT_EQ(std::size(kSparseIdleGoldens), evaluationSchedulers().size());
+    for (const EagerGolden &g : kSparseIdleGoldens)
+        expectMatchesEager(run(g.scheduler, seq), g);
 }
 
 TEST_F(InnerloopIdenticalTest, TickAlignedSubmitsAreResultInvariant)
@@ -155,16 +230,9 @@ TEST_F(InnerloopIdenticalTest, TickAlignedSubmitsAreResultInvariant)
     seq.events.push_back(WorkloadEvent{2, "lenet", 1, Priority::Low,
                                        simtime::sec(16)});
 
-    for (const std::string &name : evaluationSchedulers()) {
-        RunResult off = run(name, seq, /*elide=*/false);
-        RunResult on = run(name, seq, /*elide=*/true);
-
-        EXPECT_EQ(recordsCsv(off), recordsCsv(on)) << name;
-        EXPECT_EQ(off.makespan, on.makespan) << name;
-        EXPECT_LE(on.hypervisorStats.schedulingPasses,
-                  off.hypervisorStats.schedulingPasses)
-            << name;
-    }
+    ASSERT_EQ(std::size(kTickAlignedGoldens), evaluationSchedulers().size());
+    for (const EagerGolden &g : kTickAlignedGoldens)
+        expectMatchesEager(run(g.scheduler, seq), g);
 }
 
 TEST_F(InnerloopIdenticalTest, ElisionActuallySavesTicksWhenIdle)
@@ -178,13 +246,11 @@ TEST_F(InnerloopIdenticalTest, ElisionActuallySavesTicksWhenIdle)
     seq.events.push_back(WorkloadEvent{1, "lenet", 1, Priority::Medium,
                                        simtime::sec(30)});
 
-    RunResult off = run("nimblock", seq, /*elide=*/false);
-    RunResult on = run("nimblock", seq, /*elide=*/true);
-
-    EXPECT_EQ(recordsCsv(off), recordsCsv(on));
-    EXPECT_EQ(off.makespan, on.makespan);
-    EXPECT_LT(on.hypervisorStats.schedulingPasses,
-              off.hypervisorStats.schedulingPasses);
+    const EagerGolden &g = kIdleSavingGolden;
+    RunResult on = run(g.scheduler, seq);
+    expectMatchesEager(on, g);
+    EXPECT_LT(on.hypervisorStats.schedulingPasses, g.passes);
+    EXPECT_LT(on.eventsFired, g.events);
 }
 
 TEST_F(InnerloopIdenticalTest, WheelAndHeapQueuesAreByteIdentical)
@@ -272,26 +338,19 @@ TEST_F(InnerloopIdenticalTest, HeterogeneousFabricIsKernelInvariant)
 TEST_F(InnerloopIdenticalTest, PurePassElisionIsResultInvariant)
 {
     // Eliding the no-op body of pure scheduler passes (FCFS/RR/static
-    // with no state change) must be invisible in results; only the
-    // elision counter itself may differ, and only upward when on.
+    // with no state change) must be invisible in results; the elided pass
+    // still counts as a pass, and only the elision counter itself may
+    // differ from the eager run, and only upward.
     EventSequence seq = denseSequence();
-    for (const std::string &name : evaluationSchedulers()) {
-        RunResult off = runWith(name, seq, [](SystemConfig &cfg) {
-            cfg.hypervisor.elidePurePasses = false;
-        });
-        RunResult on = runWith(name, seq, [](SystemConfig &cfg) {
-            cfg.hypervisor.elidePurePasses = true;
-        });
-
-        EXPECT_EQ(recordsCsv(off), recordsCsv(on)) << name;
-        EXPECT_EQ(off.makespan, on.makespan) << name;
-        EXPECT_EQ(off.hypervisorStats.schedulingPasses,
-                  on.hypervisorStats.schedulingPasses)
-            << name;
-        EXPECT_EQ(off.hypervisorStats.purePassesElided, 0u) << name;
-        EXPECT_GE(on.hypervisorStats.purePassesElided,
-                  off.hypervisorStats.purePassesElided)
-            << name;
+    ASSERT_EQ(std::size(kPurePassGoldens), evaluationSchedulers().size());
+    for (const EagerGolden &g : kPurePassGoldens) {
+        RunResult on = run(g.scheduler, seq);
+        expectMatchesEager(on, g);
+        EXPECT_EQ(on.hypervisorStats.schedulingPasses, g.passes)
+            << g.scheduler;
+        EXPECT_EQ(g.eagerElided, 0u) << g.scheduler;
+        EXPECT_GE(on.hypervisorStats.purePassesElided, g.eagerElided)
+            << g.scheduler;
     }
 }
 

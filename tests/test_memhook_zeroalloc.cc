@@ -2,10 +2,9 @@
  * @file
  * Regression guard for the steady-state zero-allocation invariant.
  *
- * Replays the measurement performed by bench_sim_innerloop as a test:
- * with tracing and counters disabled (the default), the simulation inner
+ * With tracing and counters disabled (the default), the simulation inner
  * loop — between the last admission and the first retirement — must not
- * allocate, for every evaluation scheduler. This binary links the
+ * allocate, for every extended scheduler. This binary links the
  * counting allocator (nimblock_memhook), so it is a separate executable
  * from nimblock_tests: the global operator new/delete replacement must
  * not leak into the ordinary test binary.
@@ -17,6 +16,7 @@
 #include "apps/registry.hh"
 #include "cluster/cluster.hh"
 #include "core/config.hh"
+#include "core/grid_context.hh"
 #include "core/memhook.hh"
 #include "fabric/fabric.hh"
 #include "faas/soak.hh"
@@ -40,19 +40,22 @@ struct WindowResult
 };
 
 /**
- * One full run with the steady-state window instrumented, as in
- * bench_sim_innerloop: the window opens once every application has been
- * admitted and closes on the step before the first retirement.
+ * One full run with the steady-state window instrumented: the window
+ * opens once every application has been admitted and closes on the step
+ * before the first retirement. A non-null @p ctx serves the run's
+ * latency estimates and goal sweeps, as inside an experiment grid.
  */
 WindowResult
 measureWindow(const std::string &scheduler_name, const SystemConfig &cfg,
-              const AppRegistry &registry, const EventSequence &seq)
+              const AppRegistry &registry, const EventSequence &seq,
+              const GridContext *ctx = nullptr)
 {
     EventQueue eq;
     Fabric fabric(eq, cfg.fabric);
     auto scheduler = makeScheduler(scheduler_name);
     MetricsCollector collector;
     Hypervisor hyp(eq, fabric, *scheduler, collector, cfg.hypervisor);
+    hyp.setGridContext(ctx);
 
     eq.reserve(seq.events.size() + 64);
     collector.reserve(seq.events.size());
@@ -109,22 +112,36 @@ measureWindow(const std::string &scheduler_name, const SystemConfig &cfg,
     return r;
 }
 
+/**
+ * A stress sequence of @p events applications with arrivals compressed
+ * to 1 ms apart, so every admission precedes the first retirement and
+ * the steady-state window is well defined.
+ */
+EventSequence
+compressedStress(const AppRegistry &registry, int events)
+{
+    GeneratorConfig gen = scenarioConfig(Scenario::Stress, registry.names());
+    gen.numEvents = events;
+    EventSequence seq = generateSequence("innerloop", gen, Rng(2023));
+    for (std::size_t i = 0; i < seq.events.size(); ++i)
+        seq.events[i].arrival = simtime::ms(static_cast<double>(i));
+    return seq;
+}
+
 TEST(MemhookZeroAlloc, SteadyStateAllocatesNothingWithTracingDisabled)
 {
     setQuiet(true);
     AppRegistry registry = standardRegistry();
     SystemConfig cfg; // recordTimeline / recordCounters default off.
 
-    // Same stimulus as bench_sim_innerloop's default: 20 events give the
-    // schedulers' internal pools enough admissions to reach their
-    // steady-state capacity before the window opens.
-    GeneratorConfig gen = scenarioConfig(Scenario::Stress, registry.names());
-    gen.numEvents = 20;
-    EventSequence seq = generateSequence("innerloop", gen, Rng(2023));
-    // Compress arrivals so every admission precedes the first retirement,
-    // making the steady-state window well defined.
-    for (std::size_t i = 0; i < seq.events.size(); ++i)
-        seq.events[i].arrival = simtime::ms(static_cast<double>(i));
+    // One length only. Without a context, the first latency estimate of
+    // an (app, batch) pair is computed when a pass first asks for it,
+    // and filling that cache allocates. At 20 events every pair is asked
+    // for before the window opens; at 4-16 or 30 the last-admitted pair
+    // is first asked for inside it (3 allocations under prema, nimblock,
+    // learned and themis). The sweep over lengths runs with a context
+    // below.
+    EventSequence seq = compressedStress(registry, 20);
 
     // The extended set covers "learned" too: with the trace bridge at its
     // disabled default, the policy's decision loop (observation rebuilds,
@@ -135,6 +152,32 @@ TEST(MemhookZeroAlloc, SteadyStateAllocatesNothingWithTracingDisabled)
         EXPECT_EQ(r.allocs, 0u)
             << name << " allocated " << r.allocs << " times (" << r.bytes
             << " bytes) in the steady-state window";
+    }
+}
+
+TEST(MemhookZeroAlloc, GridContextSteadyStateAllocatesNothingAtEveryLength)
+{
+    setQuiet(true);
+    AppRegistry registry = standardRegistry();
+    SystemConfig cfg;
+
+    // With a frozen context every estimate is a lookup, so no sequence
+    // length may allocate in the window, including the first estimate
+    // of the last-admitted pair.
+    for (int events : {4, 8, 12, 16, 20, 30}) {
+        EventSequence seq = compressedStress(registry, events);
+        GridContext ctx(cfg);
+        ctx.warmSequence(seq, registry);
+        ctx.freeze();
+        for (const std::string &name : extendedSchedulers()) {
+            WindowResult r = measureWindow(name, cfg, registry, seq, &ctx);
+            EXPECT_GT(r.events, 0u)
+                << name << " at " << events << " events: empty window";
+            EXPECT_EQ(r.allocs, 0u)
+                << name << " at " << events << " events allocated "
+                << r.allocs << " times (" << r.bytes
+                << " bytes) in the steady-state window";
+        }
     }
 }
 

@@ -6,9 +6,6 @@
  * applications with different characteristics").
  */
 
-#include <ostream>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "apps/registry.hh"
@@ -28,17 +25,6 @@ struct SweepParam
     std::uint64_t seed;
     Scenario scenario;
 };
-
-/**
- * gtest's default printer dumps the parameter's bytes, the std::string's
- * heap pointer among them, and the ctest names gtest_discover_tests
- * builds from that dump changed from one discovery to the next.
- */
-void
-PrintTo(const SweepParam &p, std::ostream *os)
-{
-    *os << p.scheduler << "/s" << p.seed << "/" << toString(p.scenario);
-}
 
 std::string
 paramName(const ::testing::TestParamInfo<SweepParam> &info)

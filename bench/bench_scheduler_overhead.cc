@@ -16,6 +16,7 @@
 #include "core/grid_context.hh"
 #include "core/simulation.hh"
 #include "sim/logging.hh"
+#include "taskgraph/builder.hh"
 #include "workload/generator.hh"
 #include "workload/scenario.hh"
 
@@ -56,6 +57,45 @@ BENCHMARK_CAPTURE(BM_SchedulerRun, rr, std::string("rr"));
 BENCHMARK_CAPTURE(BM_SchedulerRun, nimblock, std::string("nimblock"));
 BENCHMARK_CAPTURE(BM_SchedulerRun, learned, std::string("learned"));
 BENCHMARK_CAPTURE(BM_SchedulerRun, themis, std::string("themis"));
+
+/**
+ * Host cost of one run through 50,000 clean ticks: a single-task app
+ * whose 20,000 s kernel leaves nothing else to do. The pure schedulers
+ * settle the stretch in a few steps, so their time per run is set-up and
+ * a handful of dispatches and does not grow with the kernel; nimblock
+ * runs its token step on every tick and is the contrast.
+ */
+void
+BM_CleanTicks(benchmark::State &state, const std::string &scheduler)
+{
+    setQuiet(true);
+    SystemConfig cfg;
+    cfg.scheduler = scheduler;
+    TaskSpec kernel;
+    kernel.name = "kernel";
+    kernel.itemLatency = simtime::sec(20000);
+    GraphBuilder graph;
+    graph.addTask(kernel);
+    AppRegistry reg;
+    reg.add(std::make_shared<AppSpec>("long", "L", graph.build()));
+    EventSequence seq;
+    seq.name = "clean_ticks";
+    seq.events.emplace_back();
+    seq.events[0].appName = "long";
+    const double ticks =
+        static_cast<double>(kernel.itemLatency / cfg.hypervisor.schedInterval);
+    for (auto _ : state) {
+        RunResult result = Simulation(cfg, reg).run(seq);
+        benchmark::DoNotOptimize(result.records.data());
+    }
+    state.counters["ticks"] = ticks; // Simulated per run.
+}
+
+BENCHMARK_CAPTURE(BM_CleanTicks, baseline, std::string("baseline"));
+BENCHMARK_CAPTURE(BM_CleanTicks, fcfs, std::string("fcfs"));
+BENCHMARK_CAPTURE(BM_CleanTicks, rr, std::string("rr"));
+BENCHMARK_CAPTURE(BM_CleanTicks, themis, std::string("themis"));
+BENCHMARK_CAPTURE(BM_CleanTicks, nimblock, std::string("nimblock"));
 
 /** Saturation analysis (the ILP substitute) per application/batch. */
 void

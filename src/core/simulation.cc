@@ -135,7 +135,9 @@ Simulation::run(const EventSequence &seq)
     const std::size_t total_events = seq.events.size();
     bool stopped = false;
     while (!eq.empty()) {
-        if (!eq.step())
+        // One step may settle a run of clean ticks, never past the
+        // horizon, so a stall still reaches the check below.
+        if (!eq.step(horizon))
             break;
         if (!stopped && collector.count() == total_events) {
             hyp.stop();

@@ -17,6 +17,10 @@ Hypervisor::Hypervisor(EventQueue &eq, Fabric &fabric, Scheduler &scheduler,
 {
     if (cfg.schedInterval <= 0)
         fatal("scheduling interval must be positive");
+    if (cfg.passLatency < 0)
+        fatal("pass latency must not be negative");
+    if (cfg.checkpointLatency < 0)
+        fatal("checkpoint latency must not be negative");
     if (_cfg.allowMidItemPreemption && fabric.config().modelPsContention) {
         // Three-phase (transfer/compute/transfer) items cannot be
         // checkpointed mid-transfer; silently proceeding would leave
@@ -1309,6 +1313,7 @@ Hypervisor::runPass(SchedEvent reason)
         _scheduler.passIsPure()) {
         ++_stats.purePassesElided;
         _inPass = false;
+        settleCleanTicks();
         return;
     }
 
@@ -1335,6 +1340,30 @@ Hypervisor::runPass(SchedEvent reason)
     if (_actionCounter != actions_before) {
         _stateDirty = true;
         ++_stateVersion;
+    }
+}
+
+void
+Hypervisor::settleCleanTicks()
+{
+    // Until some other occurrence fires, every tick ahead requests a pass
+    // that finds the state this one did and elides as well. Settle each
+    // tick whose pass lands strictly before that occurrence: the queue
+    // and the stats then equal the eager run's. A longer pass latency
+    // coalesces the next tick into the pending pass instead.
+    if (_live.empty() || _cfg.passLatency >= _cfg.schedInterval)
+        return;
+    const std::uint64_t n = _tick->settle(_cfg.passLatency, 2);
+    const std::uint64_t first = _stats.schedulingPasses;
+    _stats.schedulingPasses += n;
+    _stats.purePassesElided += n;
+    if (!_counters)
+        return;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+        const SimTime at =
+            _eq.now() - static_cast<SimTime>(n - k) * _cfg.schedInterval;
+        _counters->sample(_ctrPasses, at, static_cast<double>(first + k));
+        _counters->mark(_markPass, at);
     }
 }
 

@@ -44,7 +44,8 @@ struct HypervisorConfig
 
     /**
      * Modeled decision latency of one scheduling pass on the ARM core.
-     * Passes requested while one is pending coalesce.
+     * Passes requested while one is pending coalesce. Must not be
+     * negative.
      */
     SimTime passLatency = simtime::us(100);
 
@@ -67,7 +68,7 @@ struct HypervisorConfig
      */
     bool allowMidItemPreemption = false;
 
-    /** State save/restore cost per mid-item checkpoint. */
+    /** State save/restore cost per mid-item checkpoint (not negative). */
     SimTime checkpointLatency = simtime::ms(5);
 
     /**
@@ -115,7 +116,8 @@ struct HypervisorStats
     std::uint64_t preemptionsHonored = 0;
     std::uint64_t checkpointPreemptions = 0;
     std::uint64_t schedulingPasses = 0;
-    /** Pure passes whose body was skipped (counted in schedulingPasses). */
+    /** Pure passes whose body was skipped or whose clean tick was
+        settled (counted in schedulingPasses). */
     std::uint64_t purePassesElided = 0;
     std::uint64_t stallRescues = 0;
     std::uint64_t itemsExecuted = 0;
@@ -379,6 +381,14 @@ class Hypervisor : public SchedulerOps
 
     /** Execute one scheduling pass (never re-entered). */
     void runPass(SchedEvent reason);
+
+    /**
+     * After an elided tick pass, settle the run of clean ticks ahead in
+     * one call (PeriodicEvent::settle()), counting each tick's pass as
+     * elided and recording its counters at its own time. Settles
+     * nothing under a bare EventQueue::step().
+     */
+    void settleCleanTicks();
 
     /** Reconfiguration completed for (app, task) in @p slot. */
     void onReconfigDone(AppInstanceId app_id, TaskId task, SlotId slot,

@@ -248,13 +248,15 @@ class Scheduler
      * already-queued dedup). The hypervisor uses this to skip the body
      * of a provable no-op tick pass: the pass event still fires and
      * counts in schedulingPasses, and purePassesElided records the
-     * saving. Policies with time-driven state must return false: every
-     * tick accumulates PREMA's and Nimblock's tokens, and draws the
-     * learned policy's RNG and updates its weights. They reach a partial
-     * fixpoint instead: on a clean tick — stateVersion() unchanged
-     * since a pass that issued no configure or preempt — each pays only
-     * for that time-driven work and skips the placement work it knows
-     * would issue nothing.
+     * saving. Under EventQueue::run(horizon) or step(horizon) the clean
+     * ticks after it are settled in one step, each counted as a fired
+     * tick and pass. Policies with time-driven state must return false:
+     * every tick accumulates PREMA's and Nimblock's tokens, and draws
+     * the learned policy's RNG and updates its weights. They reach a
+     * partial fixpoint instead: on a clean tick — stateVersion()
+     * unchanged since a pass that issued no configure or preempt — each
+     * pays only for that time-driven work and skips the placement work
+     * it knows would issue nothing.
      */
     virtual bool passIsPure() const { return false; }
 

@@ -188,6 +188,38 @@ EventQueue::disarmTimer(TimerId timer)
     return true;
 }
 
+SimTime
+EventQueue::quietUntil(TimerId timer, SimTime from)
+{
+    if (_horizon < from)
+        return _horizon; // A bare step(), or a horizon already reached.
+    // The other timers first: the root, or the root's smaller child when
+    // the root is @p timer itself.
+    const TimerSlot *own = _timers[timer].get();
+    SimTime other = kTimeMax;
+    if (!_lane.empty() && _lane[0].timer != own)
+        other = _lane[0].when;
+    else if (_lane.size() > 1)
+        other = std::min(_lane[1].when,
+                         _lane.size() > 2 ? _lane[2].when : kTimeMax);
+    SimTime end = std::min(_horizon, other - 1);
+    if (end < from)
+        return end;
+    const SimTime ready = readyNextTime();
+    if (ready == kTimeNone)
+        return other == kTimeMax ? kTimeNone : end;
+    return std::min(end, ready - 1);
+}
+
+void
+EventQueue::settleTimer(TimerId timer, SimTime now, std::uint64_t events,
+                        SimTime next)
+{
+    _now = now;
+    _fired += events;
+    armTimer(timer, next);
+}
+
 bool
 EventQueue::fireTimer()
 {
@@ -250,14 +282,13 @@ EventQueue::heapStep()
     return true;
 }
 
-std::uint64_t
+void
 EventQueue::heapRun(SimTime horizon)
 {
     // Fused fire loop: one dead-entry sweep, bounds check and pop per
     // fired event (step() after a separate skipDead() would redo all
     // three).
-    std::uint64_t fired = 0;
-    for (;; ++fired) {
+    for (;;) {
         skipDead();
         if (_heap.empty() || laneFirst(_heap[0])) {
             if (_lane.empty() || _laneWhen > horizon)
@@ -271,7 +302,6 @@ EventQueue::heapRun(SimTime horizon)
         heapPop();
         fireItem(item);
     }
-    return fired;
 }
 
 void
@@ -489,10 +519,9 @@ EventQueue::wheelStepSlow()
     return step();
 }
 
-std::uint64_t
+void
 EventQueue::wheelRun(SimTime horizon)
 {
-    std::uint64_t fired = 0;
     for (;;) {
         if (_batchPos < _batch.size() && !laneFirst(_batch[_batchPos])) {
             HeapItem item = _batch[_batchPos];
@@ -508,7 +537,6 @@ EventQueue::wheelRun(SimTime horizon)
             ++_batchPos;
             --_entries;
             fireItem(item);
-            ++fired;
             continue;
         }
         if (_batchPos >= _batch.size()) {
@@ -520,9 +548,7 @@ EventQueue::wheelRun(SimTime horizon)
         if (_lane.empty() || _laneWhen > horizon)
             break;
         fireTimer();
-        ++fired;
     }
-    return fired;
 }
 
 SimTime
@@ -574,20 +600,30 @@ EventQueue::wheelNextEventTime()
 std::uint64_t
 EventQueue::run(SimTime horizon)
 {
-    return _impl == EventQueueImpl::Heap ? heapRun(horizon)
-                                         : wheelRun(horizon);
+    const std::uint64_t before = _fired;
+    const SimTime outer = _horizon;
+    _horizon = horizon;
+    if (_impl == EventQueueImpl::Heap)
+        heapRun(horizon);
+    else
+        wheelRun(horizon);
+    _horizon = outer;
+    return _fired - before;
+}
+
+SimTime
+EventQueue::readyNextTime()
+{
+    if (_impl != EventQueueImpl::Heap)
+        return wheelNextEventTime();
+    skipDead();
+    return _heap.empty() ? kTimeNone : _heap[0].when;
 }
 
 SimTime
 EventQueue::nextEventTime()
 {
-    SimTime next;
-    if (_impl == EventQueueImpl::Heap) {
-        skipDead();
-        next = _heap.empty() ? kTimeNone : _heap[0].when;
-    } else {
-        next = wheelNextEventTime();
-    }
+    SimTime next = readyNextTime();
     if (!_lane.empty() && (next == kTimeNone || _laneWhen < next))
         next = _laneWhen;
     return next;
@@ -690,6 +726,24 @@ PeriodicEvent::stop()
         return;
     _running = false;
     _eq.disarmTimer(_timer);
+}
+
+std::uint64_t
+PeriodicEvent::settle(SimTime tail, std::uint64_t events)
+{
+    if (!_running)
+        return 0;
+    // Occurrence k (from 0) lands at _nextDue + k * _period; its
+    // follow-up must fall inside the quiet span.
+    const SimTime first = _nextDue + tail;
+    const SimTime quiet = _eq.quietUntil(_timer, first);
+    if (quiet < first)
+        return 0;
+    const SimTime n = (quiet - first) / _period + 1;
+    _nextDue += n * _period;
+    _eq.settleTimer(_timer, _nextDue - _period + tail,
+                    static_cast<std::uint64_t>(n) * events, _nextDue);
+    return static_cast<std::uint64_t>(n);
 }
 
 } // namespace nimblock

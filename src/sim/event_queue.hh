@@ -47,6 +47,14 @@
  * arming draws seq from the schedule() counter, so the fire order is
  * exactly that of one queue. The hypervisor's tick and pass, the soak's
  * arrival pump and the cluster rebalancer are timers.
+ *
+ * A holder that can prove a run of a timer's occurrences changes nothing
+ * settles it in one call instead of dispatching it: quietUntil() bounds
+ * the span no other occurrence enters, and settleTimer() moves the clock
+ * and firedCount() across it and re-arms the timer behind it. The
+ * hypervisor settles runs of clean ticks under pure schedulers this way.
+ * Settling happens only inside run(horizon) and step(horizon), never
+ * past their horizon; a bare step() fires exactly one event.
  */
 
 #ifndef NIMBLOCK_SIM_EVENT_QUEUE_HH
@@ -229,6 +237,33 @@ class EventQueue
         return _timers[timer]->pos != kUnarmed;
     }
 
+    /**
+     * Last instant of the quiet span ahead of @p timer: one nanosecond
+     * before the earliest pending occurrence other than @p timer's own,
+     * capped at the horizon of the run(horizon) or step(horizon) in
+     * progress. Outside them, and so under a bare step(), no instant is
+     * quiet. The lane is read first, so when another timer ends the span
+     * before @p from the answer comes without peeking the ready
+     * structure.
+     *
+     * @return The span's last instant, or a time before @p from when no
+     *         instant from @p from on is quiet; kTimeNone when nothing
+     *         else is pending.
+     */
+    SimTime quietUntil(TimerId timer, SimTime from);
+
+    /**
+     * Settle occurrences of the armed @p timer, and of whatever they
+     * trigger, that the caller proved change nothing, without
+     * dispatching them: the clock moves to @p now, firedCount() grows by
+     * @p events, and the timer re-arms at @p next. @p now must lie in
+     * quietUntil()'s span, where no other entry is drawn, so the
+     * re-arm's fresh sequence number orders the timer against every
+     * other entry exactly as arming it at each skipped occurrence would.
+     */
+    void settleTimer(TimerId timer, SimTime now, std::uint64_t events,
+                     SimTime next);
+
     /// @}
 
     /** Number of pending (non-cancelled) events. */
@@ -244,6 +279,10 @@ class EventQueue
      * batch — is a bounds check, an array read and one key compare
      * against the lane root; opening the next batch (cursor advance,
      * cascade, overflow promotion) is the out-of-line slow path.
+     *
+     * A bare step() never settles (quietUntil()), so a loop of step()
+     * calls dispatches once per event and firedCount() grows by one per
+     * call; step(horizon) may settle.
      *
      * @retval true  An event fired.
      * @retval false The queue was empty.
@@ -272,15 +311,42 @@ class EventQueue
     }
 
     /**
+     * Fire the single earliest pending event, as step() does; the fired
+     * event may then settle a run of occurrences after it (settleTimer()),
+     * no further than @p horizon: the hypervisor settles each run of clean
+     * ticks up to the next other pending occurrence. Work injected from
+     * outside the queue must therefore be scheduled as an event, which
+     * ends the quiet span; a call made between two steps lands after the
+     * run.
+     *
+     * @retval true  An event fired.
+     * @retval false The queue was empty.
+     */
+    bool
+    step(SimTime horizon)
+    {
+        const SimTime outer = _horizon;
+        _horizon = horizon;
+        const bool fired = step();
+        _horizon = outer;
+        return fired;
+    }
+
+    /**
      * Run until the queue drains or @p horizon is reached.
      *
-     * Events scheduled exactly at the horizon still fire.
+     * Events scheduled exactly at the horizon still fire, and no run is
+     * settled past it (quietUntil()), so now() never passes it.
      *
-     * @return Number of events fired.
+     * @return Number of events fired, settled ones included.
      */
     std::uint64_t run(SimTime horizon = kTimeMax);
 
-    /** Total number of events fired since construction. */
+    /**
+     * Total number of simulated events fired since construction, settled
+     * occurrences included (settleTimer()), so a settled run counts as
+     * the events it stands for.
+     */
     std::uint64_t firedCount() const { return _fired; }
 
     /** Timestamp of the earliest pending event, or kTimeNone if empty. */
@@ -612,7 +678,7 @@ class EventQueue
     void skipDead();
 
     bool heapStep();
-    std::uint64_t heapRun(SimTime horizon);
+    void heapRun(SimTime horizon);
 
     /// @}
 
@@ -669,14 +735,20 @@ class EventQueue
 
     /** Slow path of step(): open the next batch and fire its head. */
     bool wheelStepSlow();
-    std::uint64_t wheelRun(SimTime horizon);
+    void wheelRun(SimTime horizon);
     SimTime wheelNextEventTime();
 
     /// @}
 
+    /** Time of the ready structure's earliest live entry, or kTimeNone. */
+    SimTime readyNextTime();
+
     EventQueueImpl _impl;
     bool _auto = false; //!< Constructed as Auto; reserve() may switch impl.
     SimTime _now = 0;
+    /** Of the run(horizon) or step(horizon) in progress; kTimeNone,
+        before any instant, outside them. */
+    SimTime _horizon = kTimeNone;
     std::uint64_t _nextSeq = 1;
     std::uint64_t _fired = 0;
     std::size_t _liveCount = 0;
@@ -729,7 +801,8 @@ class EventQueue
  * hypervisor's scheduling-interval timer (400 ms in the paper). Built on
  * the queue's Timer facility: the callback is constructed once, and each
  * occurrence waits in the timer lane, so a periodic re-arm is one lane
- * push with no slot or callback traffic.
+ * push with no slot or callback traffic. settle() skips a run of
+ * occurrences its holder proved idle and keeps the grid.
  */
 class PeriodicEvent
 {
@@ -767,6 +840,21 @@ class PeriodicEvent
 
     /** Stop firing; the pending occurrence is cancelled. */
     void stop();
+
+    /**
+     * Settle, without dispatching them, the armed occurrence and those
+     * after it whose follow-up @p tail later (the work each occurrence
+     * arms, e.g. the hypervisor's pass) still lands inside the queue's
+     * quiet span. The caller vouches that each settled occurrence and
+     * its follow-up change nothing; each counts @p events in
+     * firedCount(). The clock ends at the last follow-up, and the timer
+     * re-arms at the next grid point, which later startAligned() calls
+     * keep.
+     *
+     * @return Occurrences settled; 0 when stopped or when the span ends
+     *         before the first follow-up.
+     */
+    std::uint64_t settle(SimTime tail, std::uint64_t events);
 
     bool running() const { return _running; }
 

@@ -14,7 +14,8 @@
  * against a slot scan, and AppInstance's task-state tallies and the
  * hypervisor's per-slot pipeline flags against the task-state walks
  * they replace, before and after every pass of every extended
- * scheduler.
+ * scheduler. The pure schedulers' settled runs of clean ticks are
+ * compared with an eager reference that runs every tick pass body.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/benchmarks.hh"
@@ -40,7 +42,9 @@
 #include "sched/nimblock.hh"
 #include "sched/prema.hh"
 #include "sim/logging.hh"
+#include "taskgraph/builder.hh"
 #include "workload/generator.hh"
+#include "workload/scenario.hh"
 
 namespace nimblock {
 namespace {
@@ -1108,6 +1112,478 @@ TEST(FreeSlotCounter, MatchesSlotScanAfterEveryTransition)
     a.setQuarantined(false);
     check("unquarantine");
     EXPECT_EQ(fabric.freeSlotCount(), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Settled clean ticks: after an elided tick pass, a pure scheduler's run
+// of clean ticks is settled in one step. Each run is compared with an
+// eager reference that runs every tick pass body, so that nothing is
+// elided or settled there.
+
+/**
+ * A factory-made scheduler whose passes never count as pure: the
+ * hypervisor runs every tick pass body and settles nothing.
+ */
+class EagerScheduler : public ForwardingScheduler
+{
+  public:
+    explicit EagerScheduler(std::unique_ptr<Scheduler> inner)
+        : ForwardingScheduler(std::move(inner), /*untracked=*/false)
+    {
+    }
+
+    bool passIsPure() const override { return false; }
+};
+
+/** The pure schedulers, whose clean ticks settle. */
+const char *const kPureSchedulers[] = {"baseline", "fcfs", "rr", "static",
+                                       "themis"};
+
+/** One workload of the settle matrix, run under every pure scheduler. */
+struct SettleCase
+{
+    SystemConfig cfg;
+    AppRegistry registry;
+    EventSequence seq;
+    std::size_t boards = 1;        //!< Boards on one queue; arrivals alternate.
+    std::vector<SimTime> horizons; //!< run(h) slices before stepping.
+    bool counters = false;         //!< CounterRegistry on board 0.
+    SimTime freePeriod = 0;        //!< Period of a free PeriodicEvent.
+    SimTime freeStart = 0;         //!< When the free timer starts.
+    bool settles = true;           //!< Whether some step must settle.
+    bool bareSteps = false;        //!< step(), not step(kTimeMax).
+};
+
+/** The queue seen after a run(h) slice or by the free timer. */
+struct QueuePoint
+{
+    SimTime now;
+    std::uint64_t fired;
+    std::uint64_t passes; //!< schedulingPasses over every board.
+
+    bool
+    operator==(const QueuePoint &o) const
+    {
+        return now == o.now && fired == o.fired && passes == o.passes;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const QueuePoint &p)
+{
+    return os << "{t=" << p.now << " fired=" << p.fired
+              << " passes=" << p.passes << "}";
+}
+
+/** What one run of a SettleCase is compared and checked on. */
+struct SettleRun
+{
+    std::string label; //!< Scheduler and queue.
+    /** Records, makespan, eventsFired and every HypervisorStats field
+        but purePassesElided, of every board. */
+    std::uint64_t digest = 0;
+    std::vector<QueuePoint> points;
+    std::vector<CounterSample> samples;
+    std::vector<MarkEvent> marks;
+    std::uint64_t elided = 0;
+    std::uint64_t steps = 0;   //!< Own step() calls after the slices.
+    std::uint64_t stepped = 0; //!< firedCount() growth over those steps.
+    /** Item completions on a tick (T_j), or on its pass (T_j + L),
+        whose clean stretch settled up to the tick before. */
+    std::uint64_t settledIntoTick = 0;
+    std::uint64_t settledIntoPass = 0;
+    /** Free-timer fires one nanosecond after a settle ended. */
+    std::uint64_t freeAtBound = 0;
+};
+
+/**
+ * Simulation::run's loop over @p c's boards on one queue, composed from
+ * the public parts, with every factory-made scheduler wrapped in an
+ * EagerScheduler when @p eager.
+ */
+SettleRun
+runSettle(const SettleCase &c, bool eager)
+{
+    struct Board
+    {
+        std::unique_ptr<Fabric> fabric;
+        std::unique_ptr<Scheduler> scheduler;
+        MetricsCollector collector;
+        std::unique_ptr<Hypervisor> hyp;
+    };
+    const SystemConfig &cfg = c.cfg;
+    EventQueue eq(cfg.eventQueue);
+    std::vector<Board> boards(c.boards);
+    for (Board &b : boards) {
+        b.fabric = std::make_unique<Fabric>(eq, cfg.fabric);
+        b.scheduler = makeScheduler(cfg.scheduler);
+        if (eager) {
+            b.scheduler =
+                std::make_unique<EagerScheduler>(std::move(b.scheduler));
+        }
+        b.hyp = std::make_unique<Hypervisor>(eq, *b.fabric, *b.scheduler,
+                                             b.collector, cfg.hypervisor);
+        for (const WorkloadEvent &e : c.seq.events)
+            b.fabric->internBitstreamName(e.appName);
+    }
+    CounterRegistry counters;
+    if (c.counters)
+        boards[0].hyp->setCounters(&counters);
+    for (const WorkloadEvent &e : c.seq.events) {
+        Hypervisor &hyp =
+            *boards[static_cast<std::size_t>(e.index) % c.boards].hyp;
+        eq.schedule(e.arrival, "arrival",
+                    [&hyp, spec = c.registry.get(e.appName), batch = e.batch,
+                     priority = e.priority, index = e.index] {
+                        hyp.submit(spec, batch, priority, index);
+                    });
+    }
+
+    SettleRun out;
+    auto sum = [&boards](std::uint64_t HypervisorStats::*field) {
+        std::uint64_t n = 0;
+        for (const Board &b : boards)
+            n += b.hyp->stats().*field;
+        return n;
+    };
+    auto point = [&] {
+        return QueuePoint{eq.now(), eq.firedCount(),
+                          sum(&HypervisorStats::schedulingPasses)};
+    };
+    SimTime last_settle = kTimeNone; // now() after the last settling step
+    std::unique_ptr<PeriodicEvent> free;
+    if (c.freePeriod > 0) {
+        free = std::make_unique<PeriodicEvent>(
+            eq, c.freePeriod, "free_timer", [&] {
+                out.points.push_back(point());
+                out.freeAtBound += last_settle == eq.now() - 1;
+            });
+        eq.schedule(c.freeStart, "free_start", [&free] { free->start(); });
+    }
+    for (Board &b : boards)
+        b.hyp->start();
+
+    bool stopped = false;
+    auto stop_when_done = [&] {
+        std::size_t retired = 0;
+        for (const Board &b : boards)
+            retired += b.collector.count();
+        if (stopped || retired != c.seq.events.size())
+            return;
+        for (Board &b : boards)
+            b.hyp->stop();
+        if (free)
+            free->stop();
+        stopped = true;
+    };
+    for (SimTime h : c.horizons) {
+        eq.run(h);
+        out.points.push_back(point());
+        stop_when_done();
+    }
+
+    const SimTime interval = cfg.hypervisor.schedInterval;
+    const SimTime latency = cfg.hypervisor.passLatency;
+    const std::uint64_t fired_before = eq.firedCount();
+    std::uint64_t items = sum(&HypervisorStats::itemsExecuted);
+    while (!eq.empty()) {
+        const std::uint64_t before = eq.firedCount();
+        if (!(c.bareSteps ? eq.step() : eq.step(kTimeMax)))
+            break;
+        ++out.steps;
+        const std::uint64_t now_items = sum(&HypervisorStats::itemsExecuted);
+        if (now_items != items) {
+            // An item at T_j or at T_j + L after a settle that ended at
+            // T_(j-1) + L, the last pass before tick T_j.
+            const SimTime tick_before = (eq.now() - 1) / interval * interval;
+            const SimTime pass_before =
+                eq.now() % interval == 0 ? tick_before + latency
+                                         : tick_before - interval + latency;
+            const bool settled = last_settle == pass_before;
+            out.settledIntoTick += settled && eq.now() % interval == 0;
+            out.settledIntoPass += settled && eq.now() % interval == latency;
+        }
+        items = now_items;
+        if (eq.firedCount() - before > 1)
+            last_settle = eq.now();
+        stop_when_done();
+    }
+    out.stepped = eq.firedCount() - fired_before;
+    EXPECT_TRUE(stopped) << "not every app retired";
+
+    Digest d;
+    SimTime makespan = 0;
+    for (const Board &b : boards) {
+        for (const AppRecord &rec : b.collector.records()) {
+            d.add(rec);
+            makespan = std::max(makespan, rec.retire);
+        }
+        HypervisorStats stats = b.hyp->stats();
+        out.elided += stats.purePassesElided;
+        stats.purePassesElided = 0;
+        d.add(stats);
+    }
+    d.add(makespan);
+    d.add(eq.firedCount());
+    out.digest = d.value();
+    out.samples = counters.samples();
+    out.marks = counters.marks();
+    return out;
+}
+
+/** Position of the first differing sample or mark, or -1. */
+template <class T>
+long
+firstCounterMismatch(const std::vector<T> &a, const std::vector<T> &b)
+{
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+        if (i >= a.size() || i >= b.size() || a[i].time != b[i].time ||
+            a[i].id != b[i].id)
+            return static_cast<long>(i);
+        if constexpr (std::is_same_v<T, CounterSample>) {
+            if (a[i].value != b[i].value)
+                return static_cast<long>(i);
+        }
+    }
+    return -1;
+}
+
+/**
+ * @p c under every pure scheduler on Heap and on Wheel, each against its
+ * eager reference. Returns the settled runs.
+ */
+std::vector<SettleRun>
+expectSettledMatchesEager(SettleCase c)
+{
+    std::vector<SettleRun> runs;
+    for (EventQueueImpl impl : {EventQueueImpl::Heap, EventQueueImpl::Wheel}) {
+        for (const char *sched : kPureSchedulers) {
+            const std::string label =
+                std::string(sched) +
+                (impl == EventQueueImpl::Heap ? "/heap" : "/wheel");
+            SCOPED_TRACE(label);
+            c.cfg.scheduler = sched;
+            c.cfg.eventQueue = impl;
+            const SettleRun eager = runSettle(c, /*eager=*/true);
+            SettleRun run = runSettle(c, /*eager=*/false);
+            run.label = label;
+            EXPECT_EQ(run.digest, eager.digest);
+            EXPECT_EQ(run.points, eager.points);
+            EXPECT_EQ(firstCounterMismatch(run.samples, eager.samples), -1);
+            EXPECT_EQ(firstCounterMismatch(run.marks, eager.marks), -1);
+            EXPECT_EQ(run.samples.empty(), !c.counters);
+            EXPECT_EQ(eager.elided, 0u);
+            EXPECT_EQ(eager.steps, eager.stepped);
+            if (c.settles) {
+                EXPECT_LT(run.steps, run.stepped) << "nothing settled";
+                EXPECT_GT(run.elided, 0u);
+            } else {
+                EXPECT_EQ(run.steps, run.stepped) << "a run settled";
+            }
+            runs.push_back(std::move(run));
+        }
+    }
+    return runs;
+}
+
+constexpr SimTime kInterval = simtime::ms(400);
+constexpr SimTime kLatency = simtime::us(100);
+
+/**
+ * Apps with zero-byte transfers and bitstreams whose item latencies are
+ * multiples of the 100 us pass latency. A cold configure started at a
+ * pass (T + 100 us) takes the 200 us SD load plus the 300 us CAP
+ * overhead, so "aligned" completes its item on the tenth tick after and
+ * "offset" on that tick's pass, each after nine clean ticks.
+ */
+AppRegistry
+settleRegistry()
+{
+    auto task = [](const char *name, SimTime latency) {
+        TaskSpec t;
+        t.name = name;
+        t.itemLatency = latency;
+        return t;
+    };
+    AppRegistry reg;
+
+    GraphBuilder aligned;
+    aligned.addTask(task("aligned", 10 * kInterval - simtime::us(600)));
+    reg.add(std::make_shared<AppSpec>("aligned", "A", aligned.build()));
+
+    GraphBuilder offset;
+    offset.addTask(task("offset", 10 * kInterval - simtime::us(500)));
+    reg.add(std::make_shared<AppSpec>("offset", "O", offset.build()));
+
+    GraphBuilder pulse;
+    pulse.addTask(task("pulse", kLatency));
+    reg.add(std::make_shared<AppSpec>("pulse", "P", pulse.build()));
+
+    GraphBuilder chain;
+    TaskId c0 = chain.addTask(task("c0", simtime::us(300)));
+    TaskId c1 = chain.addTask(task("c1", simtime::us(1200)));
+    TaskId c2 = chain.addTask(task("c2", kLatency));
+    chain.edge(c0, c1).edge(c1, c2);
+    reg.add(std::make_shared<AppSpec>("chain", "C", chain.build()));
+    return reg;
+}
+
+/**
+ * A long app on the tick grid, a short one a tick later, then quiet
+ * until the next pair thirteen ticks on: each long app's item completes
+ * after a clean stretch. Mirrored: every app arrives twice at once.
+ */
+EventSequence
+settleSequence(bool mirrored = false)
+{
+    const char *const apps[] = {"aligned", "pulse", "offset", "chain"};
+    const Priority prios[] = {Priority::Low, Priority::Medium,
+                              Priority::High};
+    EventSequence seq;
+    seq.name = "settle";
+    for (int i = 0; i < 12; ++i) {
+        const int k = mirrored ? i / 2 : i;
+        WorkloadEvent e;
+        e.index = i;
+        e.appName = apps[k % 4];
+        e.batch = k % 2 == 0 ? 1 : 1 + k % 3;
+        e.priority = prios[k % 3];
+        e.arrival = kInterval * (13 * (k / 2) + k % 2);
+        seq.events.push_back(std::move(e));
+    }
+    return seq;
+}
+
+SettleCase
+collisionBoard()
+{
+    SettleCase c;
+    c.cfg.fabric.defaultBitstreamBytes = 0;
+    c.cfg.fabric.cap.fixedOverhead = simtime::us(300);
+    c.cfg.fabric.store.sdSetupLatency = simtime::us(200);
+    c.registry = settleRegistry();
+    c.seq = settleSequence();
+    return c;
+}
+
+class SettledTicks : public ::testing::Test
+{
+  protected:
+    void SetUp() override { setQuiet(true); }
+    void TearDown() override { setQuiet(false); }
+};
+
+TEST_F(SettledTicks, PaperScenariosMatchEager)
+{
+    const AppRegistry registry = standardRegistry();
+    for (Scenario scenario : congestionScenarios()) {
+        SCOPED_TRACE(toString(scenario));
+        GeneratorConfig gen = scenarioConfig(scenario, registry.names());
+        gen.numEvents = 8;
+        SettleCase c;
+        c.registry = registry;
+        c.seq = generateSequence(toString(scenario), gen, Rng(2023));
+        expectSettledMatchesEager(c);
+    }
+}
+
+TEST_F(SettledTicks, ItemsOnTicksAndPassesAfterASettleMatchEager)
+{
+    for (const SettleRun &run : expectSettledMatchesEager(collisionBoard())) {
+        EXPECT_GT(run.settledIntoTick, 0u) << run.label;
+        EXPECT_GT(run.settledIntoPass, 0u) << run.label;
+    }
+}
+
+TEST_F(SettledTicks, RunSlicesStopAtTheirHorizon)
+{
+    SettleCase c = collisionBoard();
+    for (int j : {3, 9, 16, 22, 31, 48, 66}) {
+        const SimTime tick = kInterval * j;
+        c.horizons.push_back(tick + kLatency - 1);
+        c.horizons.push_back(tick + kLatency);
+        c.horizons.push_back(tick + kInterval / 2);
+    }
+    expectSettledMatchesEager(c);
+}
+
+TEST_F(SettledTicks, CounterSamplesAndPassMarksMatchEager)
+{
+    SettleCase c = collisionBoard();
+    c.counters = true;
+    expectSettledMatchesEager(c);
+}
+
+TEST_F(SettledTicks, PassLatencyOfAnIntervalOrMoreSettlesNothing)
+{
+    for (SimTime latency : {kInterval, kInterval + kInterval / 2}) {
+        SCOPED_TRACE(latency);
+        SettleCase c = collisionBoard();
+        c.cfg.hypervisor.passLatency = latency;
+        c.settles = false;
+        expectSettledMatchesEager(c);
+    }
+}
+
+TEST_F(SettledTicks, FreeTimerEndsEachSettleOneNanosecondBefore)
+{
+    // Fires at T_5k + L + 1: the settle before each one ends at
+    // T_5k + L.
+    SettleCase c = collisionBoard();
+    c.freePeriod = 5 * kInterval;
+    c.freeStart = kLatency + 1;
+    for (const SettleRun &run : expectSettledMatchesEager(c))
+        EXPECT_GT(run.freeAtBound, 0u) << run.label;
+}
+
+TEST_F(SettledTicks, BareStepsSettleNothing)
+{
+    // A bare step() fires one event per call, so a host loop that times
+    // each step sees one dispatch per simulated event.
+    SettleCase c = collisionBoard();
+    c.bareSteps = true;
+    c.settles = false;
+    for (const SettleRun &run : expectSettledMatchesEager(c))
+        EXPECT_GT(run.elided, 0u) << run.label;
+}
+
+TEST_F(SettledTicks, InPhaseTwoBoardClusterSettlesNothing)
+{
+    // Both boards run the same apps at the same instants, so each
+    // board's tick or pass ends the other's quiet span at once.
+    SettleCase c = collisionBoard();
+    c.seq = settleSequence(/*mirrored=*/true);
+    c.boards = 2;
+    c.settles = false;
+    expectSettledMatchesEager(c);
+}
+
+// ---------------------------------------------------------------------
+// Hypervisor latencies are validated at construction.
+
+/** Construct a hypervisor with @p cfg on a default board. */
+void
+constructHypervisor(const HypervisorConfig &cfg)
+{
+    EventQueue eq;
+    Fabric fabric(eq, FabricConfig{});
+    std::unique_ptr<Scheduler> scheduler = makeScheduler("fcfs");
+    MetricsCollector collector;
+    Hypervisor hyp(eq, fabric, *scheduler, collector, cfg);
+}
+
+TEST(HypervisorLatencies, NegativePassLatencyIsFatal)
+{
+    HypervisorConfig cfg;
+    cfg.passLatency = -simtime::us(1);
+    EXPECT_THROW(constructHypervisor(cfg), FatalError);
+}
+
+TEST(HypervisorLatencies, NegativeCheckpointLatencyIsFatal)
+{
+    HypervisorConfig cfg;
+    cfg.checkpointLatency = -1;
+    EXPECT_THROW(constructHypervisor(cfg), FatalError);
 }
 
 } // namespace

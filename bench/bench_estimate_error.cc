@@ -86,6 +86,8 @@ main(int argc, char **argv)
                 "decisions (the paper's case for estimate-driven "
                 "scheduling without an ILP).\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, {"baseline", "prema", "nimblock"});
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

@@ -147,5 +147,7 @@ main(int argc, char **argv)
                 "and reconfig-skip remove latency; contention modeling "
                 "adds it; relocation mainly reduces SD traffic.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, {"nimblock"});
+    maybeWritePolicyTrace(opts, env);
     return 0;
 }

@@ -87,5 +87,7 @@ main(int argc, char **argv)
                 "board behaviour) as boards are added; least-loaded "
                 "dispatch beats round-robin on the skewed benchmark mix.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, {"nimblock"});
+    maybeWritePolicyTrace(opts, env);
     return 0;
 }

@@ -92,6 +92,8 @@ main(int argc, char **argv)
                 "case against static, prior-knowledge scheduling for "
                 "real-time use.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, algos);
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

@@ -66,6 +66,8 @@ main(int argc, char **argv)
                 "pipelining variants; NoPipe variants overlap and grow "
                 "fastest.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, algos);
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

@@ -66,6 +66,8 @@ main(int argc, char **argv)
     std::printf("\npaper shape: pipelining variants sustain the highest "
                 "throughput; curves flatten beyond batch ~5.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, algos);
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

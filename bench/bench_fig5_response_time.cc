@@ -70,6 +70,7 @@ main(int argc, char **argv)
                 "RR/FCFS near or below 1x in real-time.\n");
     maybeWriteCsv(opts, csv);
     maybeWriteTraces(opts, env, algos);
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

@@ -77,6 +77,8 @@ main(int argc, char **argv)
                 "in every scenario and earliest 10%% error point in stress "
                 "and real-time.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, algos);
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

@@ -47,6 +47,8 @@ main(int argc, char **argv)
                 "run-dominated; short benchmarks show visible PR and wait "
                 "shares.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, {"nimblock"});
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

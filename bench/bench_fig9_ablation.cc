@@ -69,6 +69,8 @@ main(int argc, char **argv)
                 "removing pipelining ~1.2x; removing both is only "
                 "marginally worse than removing pipelining alone.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, algos);
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

@@ -62,8 +62,11 @@ BENCHMARK_CAPTURE(BM_SchedulerRun, themis, std::string("themis"));
  * Host cost of one run through 50,000 clean ticks: a single-task app
  * whose 20,000 s kernel leaves nothing else to do. The pure schedulers
  * settle the stretch in a few steps, so their time per run is set-up and
- * a handful of dispatches and does not grow with the kernel; nimblock
- * runs its token step on every tick and is the contrast.
+ * a handful of dispatches and does not grow with the kernel. The three
+ * time-driven schedulers dispatch every tick and its pass: prema and
+ * nimblock run the token step, learned its features, RNG draw and
+ * weight update. Their time per run divided by the ticks counter is the
+ * per-tick cost of a clean tick.
  */
 void
 BM_CleanTicks(benchmark::State &state, const std::string &scheduler)
@@ -95,7 +98,9 @@ BENCHMARK_CAPTURE(BM_CleanTicks, baseline, std::string("baseline"));
 BENCHMARK_CAPTURE(BM_CleanTicks, fcfs, std::string("fcfs"));
 BENCHMARK_CAPTURE(BM_CleanTicks, rr, std::string("rr"));
 BENCHMARK_CAPTURE(BM_CleanTicks, themis, std::string("themis"));
+BENCHMARK_CAPTURE(BM_CleanTicks, prema, std::string("prema"));
 BENCHMARK_CAPTURE(BM_CleanTicks, nimblock, std::string("nimblock"));
+BENCHMARK_CAPTURE(BM_CleanTicks, learned, std::string("learned"));
 
 /** Saturation analysis (the ILP substitute) per application/batch. */
 void

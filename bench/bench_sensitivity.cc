@@ -113,5 +113,7 @@ main(int argc, char **argv)
                 "passes); more slots help until the workload's parallelism "
                 "saturates; slower CAP hurts short apps most.\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, {"nimblock"});
+    maybeWritePolicyTrace(opts, env);
     return 0;
 }

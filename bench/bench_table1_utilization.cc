@@ -20,7 +20,8 @@ using namespace nimblock::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
+    BenchOptions opts =
+        BenchOptions::parseOrExit(argc, argv, /*simulates=*/false);
     printHeader("Table 1: slot and static region utilization", opts);
 
     ResourceRange slot = zcu106::slotRange();

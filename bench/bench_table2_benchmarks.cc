@@ -19,7 +19,8 @@ using namespace nimblock::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parseOrExit(argc, argv);
+    BenchOptions opts =
+        BenchOptions::parseOrExit(argc, argv, /*simulates=*/false);
     BenchEnv env(opts);
     printHeader("Table 2: benchmark sizes", opts);
 

@@ -87,6 +87,8 @@ main(int argc, char **argv)
                 "response times by orders of magnitude; Nimblock leads on "
                 "longer benchmarks (OF, AN).\n");
     maybeWriteCsv(opts, csv);
+    maybeWriteTraces(opts, env, {"baseline"});
+    maybeWritePolicyTrace(opts, env);
     printFooter(total_runs);
     return 0;
 }

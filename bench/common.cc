@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string_view>
 #include <type_traits>
 
 #include "cluster/cluster.hh"
@@ -236,10 +237,17 @@ BenchOptions::parse(int argc, char **argv)
 }
 
 BenchOptions
-BenchOptions::parseOrExit(int argc, char **argv)
+BenchOptions::parseOrExit(int argc, char **argv, bool simulates)
 {
     BenchOptions opts;
-    parseFlagsOrExit(argc, argv, opts.flags());
+    std::vector<Flag> flags = opts.flags();
+    if (!simulates) {
+        std::erase_if(flags, [](const Flag &f) {
+            const std::string_view name = f.name;
+            return name == "--trace" || name == "--policy-trace";
+        });
+    }
+    parseFlagsOrExit(argc, argv, flags);
     return opts;
 }
 

@@ -143,8 +143,13 @@ struct BenchOptions
     /** Parse argv; throws FatalError on a usage error. */
     static BenchOptions parse(int argc, char **argv);
 
-    /** parse() for a bench main: a usage error exits 2. */
-    static BenchOptions parseOrExit(int argc, char **argv);
+    /**
+     * parse() for a bench main: a usage error exits 2. A bench that runs
+     * no simulation passes @p simulates false: it has nothing to
+     * capture, so --trace and --policy-trace are unknown flags there.
+     */
+    static BenchOptions parseOrExit(int argc, char **argv,
+                                    bool simulates = true);
 
     /** jobs with 0 resolved to the actual hardware default. */
     unsigned effectiveJobs() const;

@@ -36,6 +36,21 @@ inline constexpr int kPriorityLevels[] = {1, 3, 9};
 /** Parse an integer priority; fatal() on values outside {1, 3, 9}. */
 Priority priorityFromInt(int value);
 
+/**
+ * estimate x remaining / total (0 when @p total is not positive): the
+ * share of a single-slot estimate that @p remaining of @p total batch
+ * items need. 128-bit, as the 64-bit product overflows for big batches.
+ */
+inline SimTime
+estimatedRemaining(SimTime estimate, std::int64_t remaining,
+                   std::int64_t total)
+{
+    if (total <= 0)
+        return 0;
+    return static_cast<SimTime>(static_cast<__int128>(estimate) * remaining /
+                                total);
+}
+
 /** Lifecycle of a task within a running application. */
 enum class TaskPhase
 {
@@ -222,6 +237,13 @@ class AppInstance
      */
     std::int64_t itemsDoneTotal() const { return _itemsDoneTotal; }
 
+    /** Batch items over all tasks (tasks x batch). */
+    std::int64_t
+    totalItems() const
+    {
+        return static_cast<std::int64_t>(_tasks.size()) * _batch;
+    }
+
     /**
      * Idle tasks with items remaining: the size of the prefetchable
      * set, and the observation's queue depth. A tally, O(1).
@@ -331,7 +353,8 @@ class AppInstance
     BitstreamNameId bitstreamNameId() const { return _bsName; }
     void setBitstreamNameId(BitstreamNameId id) { _bsName = id; }
 
-    /** Memoized single-slot latency estimate (hypervisor-owned). */
+    /** Memoized single-slot latency estimate (hypervisor-owned;
+        kTimeNone until SchedulerOps::estimatedSingleSlotLatency()). */
     SimTime latencyEstimate() const { return _latencyEstimate; }
     void setLatencyEstimate(SimTime t) { _latencyEstimate = t; }
 

@@ -1197,14 +1197,11 @@ Hypervisor::checkpointBytes(const AppInstance &app) const
 SimTime
 Hypervisor::remainingWorkEstimate(AppInstance &app)
 {
-    SimTime est = estimatedSingleSlotLatency(app);
-    auto total_items = static_cast<std::int64_t>(app.batch()) *
-                       static_cast<std::int64_t>(app.graph().numTasks());
-    if (total_items <= 0)
-        return 0;
     // itemsDoneTotal is a running counter, replacing an O(tasks)
     // itemsDone scan per estimate (called per live app per rebalance).
-    return est * (total_items - app.itemsDoneTotal()) / total_items;
+    const std::int64_t total = app.totalItems();
+    return estimatedRemaining(estimatedSingleSlotLatency(app),
+                              total - app.itemsDoneTotal(), total);
 }
 
 SimTime

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/logging.hh"
+
 namespace nimblock {
 
 LearnedScheduler::LearnedScheduler(LearnedConfig cfg)
@@ -13,6 +15,12 @@ LearnedScheduler::LearnedScheduler(LearnedConfig cfg)
     _prevPhi.fill(0.0);
     if (!_cfg.tracePath.empty())
         _trace.open(_cfg.tracePath);
+}
+
+void
+LearnedScheduler::onAppAdmitted(AppInstance &app)
+{
+    ops().estimatedSingleSlotLatency(app);
 }
 
 void
@@ -31,11 +39,29 @@ LearnedScheduler::score(const std::array<double, kPolicyFeatures> &phi) const
     return s;
 }
 
+LearnedScheduler::Board
+LearnedScheduler::readBoard()
+{
+    Board b;
+    b.fabric = &ops().fabric();
+    b.now = ops().now();
+    b.numSlots = static_cast<std::uint32_t>(b.fabric->numSlots());
+    b.freeSlots = static_cast<std::uint32_t>(b.fabric->freeSlotCount());
+    b.freeFraction =
+        b.numSlots ? static_cast<double>(b.freeSlots) / b.numSlots : 0.0;
+    // Narrowed to float as SchedObservation::energyJoules stores it, so
+    // the feature is the double a trace replays. Exactly 0.0 with
+    // accounting off, so legacy decisions are bit-identical.
+    const double joules =
+        static_cast<double>(static_cast<float>(ops().energyJoulesTotal()));
+    b.energyPressure = joules > 0.0 ? joules / (joules + 1000.0) : 0.0;
+    return b;
+}
+
 void
 LearnedScheduler::featurize(std::array<double, kPolicyFeatures> &phi,
-                            const SchedObservation &obs,
-                            const SchedAction &action,
-                            const AppObs *app) const
+                            const Board &board, const SchedAction &action,
+                            const AppInstance *app) const
 {
     phi.fill(0.0);
     phi[0] = 1.0;
@@ -43,45 +69,63 @@ LearnedScheduler::featurize(std::array<double, kPolicyFeatures> &phi,
     phi[1] = kind == SchedActionKind::Configure ? 1.0 : 0.0;
     phi[2] = kind == SchedActionKind::Preempt ? 1.0 : 0.0;
     phi[3] = kind == SchedActionKind::Prefetch ? 1.0 : 0.0;
-    phi[4] = obs.numSlots
-                 ? static_cast<double>(obs.freeSlots) / obs.numSlots
-                 : 0.0;
+    phi[4] = board.freeFraction;
     // Heterogeneity/energy features: exactly 0.0 on uniform boards with
-    // accounting off, so legacy decisions are bit-identical.
-    if (action.slot != kSlotNone && action.slot < kMaxSlotObs)
-        phi[13] = static_cast<double>(obs.slots[action.slot].slotClass) / 8.0;
-    const double joules = static_cast<double>(obs.energyJoules);
-    phi[14] = joules > 0.0 ? joules / (joules + 1000.0) : 0.0;
+    // accounting off, so legacy decisions are bit-identical. The class
+    // is read as the snapshot's one-byte slot row, and only for the
+    // slots a snapshot holds.
+    if (action.slot < board.numSlots && action.slot < kMaxSlotObs) {
+        const auto slot_class = static_cast<std::uint8_t>(
+            board.fabric->slot(action.slot).classId());
+        phi[13] = static_cast<double>(slot_class) / 8.0;
+    }
+    phi[14] = board.energyPressure;
     if (!app)
         return;
-    const double est =
-        std::max<double>(static_cast<double>(app->estLatency), 1.0);
-    const double waiting =
-        std::max<double>(static_cast<double>(app->waitingTime), 0.0);
+    const SimTime est_ns = app->latencyEstimate();
+    if (est_ns == kTimeNone)
+        panic("learned policy: %s has no latency estimate",
+              app->toString().c_str());
+    const double est = std::max<double>(static_cast<double>(est_ns), 1.0);
+    const double waiting = std::max<double>(
+        static_cast<double>(board.now - app->arrival()), 0.0);
     phi[5] = waiting / (waiting + est);
-    phi[6] = app->totalItems > 0 ? static_cast<double>(app->itemsRemaining) /
-                                       static_cast<double>(app->totalItems)
-                                 : 0.0;
-    phi[7] = app->token / (1.0 + std::fabs(app->token));
-    phi[8] = static_cast<double>(app->priority) / 9.0;
-    phi[9] = std::min(1.0, static_cast<double>(app->queueDepth) / 8.0);
-    phi[10] = app->deadlineSlack < 0 ? 1.0 : 0.0;
+    const std::int64_t total = app->totalItems();
+    phi[6] = total > 0
+                 ? static_cast<double>(total - app->itemsDoneTotal()) /
+                       static_cast<double>(total)
+                 : 0.0;
+    const double token = app->token();
+    phi[7] = token / (1.0 + std::fabs(token));
+    phi[8] = static_cast<double>(app->priorityValue()) / 9.0;
+    phi[9] = std::min(1.0, static_cast<double>(app->idlePendingTasks()) / 8.0);
+    // Slack against the assumed deadline, as AppObs::deadlineSlack.
+    const SimTime slack =
+        app->arrival() +
+        static_cast<SimTime>(kObsDeadlineScale *
+                             static_cast<double>(est_ns)) -
+        board.now;
+    phi[10] = slack < 0 ? 1.0 : 0.0;
     phi[11] = est / (est + 1e9);
-    phi[12] = obs.numSlots
-                  ? static_cast<double>(app->slotsUsed) / obs.numSlots
+    phi[12] = board.numSlots
+                  ? static_cast<double>(
+                        static_cast<std::int32_t>(app->slotsUsed())) /
+                        board.numSlots
                   : 0.0;
 }
 
 void
-LearnedScheduler::settlePrevious(const SchedObservation &obs)
+LearnedScheduler::settlePrevious()
 {
     if (!_havePrev) {
         _retiredAtPrev = _retired;
         return;
     }
+    // The penalty counts every live app, not only the observed window.
     const double reward =
         static_cast<double>(_retired - _retiredAtPrev) -
-        _cfg.rewardBeta * (static_cast<double>(obs.liveApps) / kMaxAppObs);
+        _cfg.rewardBeta *
+            (static_cast<double>(ops().liveApps().size()) / kMaxAppObs);
 
     if (_cfg.onlineUpdate && _cfg.alpha > 0.0) {
         const double err = reward - score(_prevPhi);
@@ -91,7 +135,7 @@ LearnedScheduler::settlePrevious(const SchedObservation &obs)
 
     if (_trace.isOpen()) {
         PolicyTraceRecord rec{};
-        rec.observation = _prevObs;
+        rec.observation = _builder.observation();
         rec.action = _prevAction;
         rec.reward = reward;
         _trace.write(rec);
@@ -103,81 +147,84 @@ LearnedScheduler::settlePrevious(const SchedObservation &obs)
 }
 
 std::size_t
-LearnedScheduler::enumerateCandidates(const SchedObservation &obs)
+LearnedScheduler::enumerateCandidates()
 {
+    const Board board = readBoard();
     std::size_t n = 0;
 
     Candidate &noop = _candidates[n++];
     noop.action = SchedAction::noOp();
-    featurize(noop.phi, obs, noop.action, nullptr);
+    featurize(noop.phi, board, noop.action, nullptr);
 
-    if (obs.freeSlots > 0) {
-        for (std::uint32_t i = 0; i < obs.numApps; ++i) {
-            const AppObs &row = obs.apps[i];
-            AppInstance *app = ops().findApp(row.id);
-            if (!app)
-                continue;
+    const std::vector<AppInstance *> &live = ops().liveApps();
+    if (board.freeSlots > 0) {
+        const std::size_t rows = std::min(live.size(), kMaxAppObs);
+        for (std::size_t i = 0; i < rows; ++i) {
+            AppInstance &app = *live[i];
             SchedAction a{};
-            a.app = row.id;
-            a.task = app->firstConfigurableTask(/*pipelined=*/false);
+            a.app = app.id();
+            a.task = app.firstConfigurableTask(/*pipelined=*/false);
             if (a.task != kTaskNone) {
                 a.kind =
                     static_cast<std::uint32_t>(SchedActionKind::Configure);
             } else {
                 // Data-starved app: offer to prefetch its next idle task
                 // so the reconfiguration hides behind upstream compute.
-                a.task = app->firstPrefetchableTask();
+                a.task = app.firstPrefetchableTask();
                 if (a.task == kTaskNone)
                     continue;
                 a.kind =
                     static_cast<std::uint32_t>(SchedActionKind::Prefetch);
             }
-            a.slot = pickFreeSlot(*app, a.task);
+            a.slot = pickFreeSlot(app, a.task);
             if (a.slot == kSlotNone)
                 continue;
             Candidate &c = _candidates[n++];
             c.action = a;
-            featurize(c.phi, obs, c.action, &row);
+            featurize(c.phi, board, c.action, &app);
         }
         return n;
     }
 
-    if (!_cfg.enablePreemption || obs.liveApps < 2)
+    if (!_cfg.enablePreemption || live.size() < 2)
         return n;
 
     // Full board: offer at most one Preempt — the preemptible slot whose
     // occupant holds the most slots (and at least two, so no app is
-    // stranded slot-less), ties to the lowest slot id. Featurized with
-    // the victim's row: the policy learns when evicting that occupant
-    // pays off.
-    const AppObs *victim_row = nullptr;
-    std::uint32_t victim_slot = kSlotNone;
+    // stranded slot-less), ties to the lowest slot id. The occupant must
+    // be an observed app; live apps are in admitSeq() order. Featurized
+    // with the victim's features: the policy learns when evicting that
+    // occupant pays off.
+    const AppInstance *victim = nullptr;
+    SlotId victim_slot = kSlotNone;
     std::int32_t victim_used = 1;
-    for (std::uint32_t i = 0; i < obs.numSlots && i < kMaxSlotObs; ++i) {
-        const SlotObs &s = obs.slots[i];
-        if (!s.waitingForNextItem || s.preemptRequested || s.quarantined)
+    const std::uint64_t last_seq =
+        live[std::min(live.size(), kMaxAppObs) - 1]->admitSeq();
+    const std::vector<Slot> &slots = board.fabric->slots();
+    for (std::size_t i = 0; i < slots.size() && i < kMaxSlotObs; ++i) {
+        const Slot &s = slots[i];
+        if (!s.waitingForNextItem() || s.preemptRequested() ||
+            s.quarantined())
             continue;
-        for (std::uint32_t j = 0; j < obs.numApps; ++j) {
-            const AppObs &row = obs.apps[j];
-            if (row.id != s.app)
-                continue;
-            if (row.slotsUsed > victim_used) {
-                victim_used = row.slotsUsed;
-                victim_slot = s.id;
-                victim_row = &row;
-            }
-            break;
+        const AppInstance *app = ops().findApp(s.app());
+        if (!app || app->admitSeq() > last_seq)
+            continue;
+        const auto used = static_cast<std::int32_t>(app->slotsUsed());
+        if (used > victim_used) {
+            victim_used = used;
+            victim_slot = s.id();
+            victim = app;
         }
     }
-    if (victim_row) {
+    if (victim) {
         SchedAction a{};
-        a.app = victim_row->id;
+        a.app = victim->id();
         a.kind = static_cast<std::uint32_t>(SchedActionKind::Preempt);
         a.task = kTaskNone;
         a.slot = victim_slot;
         Candidate &c = _candidates[n++];
         c.action = a;
-        featurize(c.phi, obs, c.action, victim_row);
+        featurize(c.phi, board, c.action, victim);
     }
     return n;
 }
@@ -209,19 +256,19 @@ void
 LearnedScheduler::pass(SchedEvent reason)
 {
     (void)reason;
-    const SchedObservation *obs = &_builder.build(ops(), ops().liveApps());
-    settlePrevious(*obs);
+    settlePrevious();
 
     // Decision loop: score the feasible action set, apply the
-    // epsilon-greedy argmax, re-observe, repeat. The first decision of
-    // the pass is the one credited (and traced) at the next settle;
-    // numSlots bounds the loop since every useful action consumes or
-    // frees at most one slot.
+    // epsilon-greedy argmax, re-read the board, repeat. The first
+    // decision of the pass is the one credited (and traced) at the next
+    // settle; numSlots bounds the loop since every useful action
+    // consumes or frees at most one slot.
     bool decided = false;
     bool applied = false;
-    const std::size_t budget = obs->numSlots ? obs->numSlots : 1;
+    const std::size_t num_slots = ops().fabric().numSlots();
+    const std::size_t budget = num_slots ? num_slots : 1;
     for (std::size_t step = 0; step < budget; ++step) {
-        const std::size_t n = enumerateCandidates(*obs);
+        const std::size_t n = enumerateCandidates();
         std::size_t pick = 0;
         if (n > 1 && _rng.bernoulli(_cfg.epsilon)) {
             pick = _rng.index(n);
@@ -237,8 +284,10 @@ LearnedScheduler::pass(SchedEvent reason)
         }
         const Candidate &c = _candidates[pick];
         if (!decided) {
+            // Nothing has acted yet this pass: the snapshot shows the
+            // state the decision was taken on.
             if (_trace.isOpen())
-                _prevObs = *obs;
+                _builder.build(ops(), ops().liveApps());
             _prevAction = c.action;
             _prevPhi = c.phi;
             _havePrev = true;
@@ -249,12 +298,8 @@ LearnedScheduler::pass(SchedEvent reason)
             break;
         const bool freed = apply(c);
         applied = true;
-        // The action advances the state version only when this pass
-        // returns, so the rebuild must not reuse rows from before it.
-        _builder.invalidate();
         if (!freed)
             break;
-        obs = &_builder.build(ops(), ops().liveApps());
     }
 
     // Work-conserving guard: whatever the policy left free goes to

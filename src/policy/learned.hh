@@ -3,15 +3,17 @@
  * Learned scheduling policy: a contextual linear bandit driving the
  * gym-style (observation -> action) interface in-process.
  *
- * Each pass the policy rebuilds the SchedObservation, credits the reward
- * for its previous decision (retirements since, minus a live-set
- * pressure penalty), optionally performs one online gradient step on its
- * linear weights, then repeatedly scores the feasible SchedAction set —
- * NoOp, one Configure per observed app, one Prefetch per data-starved
- * app, at most one Preempt — and applies the epsilon-greedy argmax until
- * it chooses NoOp or runs out of per-pass budget. Everything runs in
- * C++ on member storage: no Python in the hot path, no allocation in
- * the steady state, and a seeded Rng makes runs bit-reproducible.
+ * Each pass the policy credits the reward for its previous decision
+ * (retirements since, minus a live-set pressure penalty), optionally
+ * performs one online gradient step on its linear weights, then
+ * repeatedly scores the feasible SchedAction set — NoOp, one Configure
+ * per observed app, one Prefetch per data-starved app, at most one
+ * Preempt — and applies the epsilon-greedy argmax until it chooses NoOp
+ * or runs out of per-pass budget. The observed apps are the first
+ * kMaxAppObs live apps, and the features come from live state as the
+ * doubles a SchedObservation of it would give. Everything runs in C++
+ * on member storage: no Python in the hot path, no allocation in the
+ * steady state, and a seeded Rng makes runs bit-reproducible.
  *
  * A work-conserving guard follows the policy loop: leftover free slots
  * are filled with bulk-ready tasks in arrival order, so an untrained (or
@@ -20,8 +22,9 @@
  *
  * When LearnedConfig::tracePath is set, every settled decision is
  * appended to a binary (observation, action, reward) trace for offline
- * training (policy/trace.hh); the default is off, and a disabled bridge
- * leaves the decision path allocation-free and byte-identical.
+ * training (policy/trace.hh), and only then is a SchedObservation built,
+ * once per pass; the default is off, and a disabled bridge leaves the
+ * decision path allocation-free and byte-identical.
  */
 
 #ifndef NIMBLOCK_POLICY_LEARNED_HH
@@ -95,6 +98,9 @@ class LearnedScheduler : public Scheduler
     explicit LearnedScheduler(LearnedConfig cfg = {});
 
     void pass(SchedEvent reason) override;
+
+    /** Memoize @p app's latency estimate, which its features read. */
+    void onAppAdmitted(AppInstance &app) override;
     void onAppRetired(AppInstance &app) override;
 
     /** Current weights (online updates mutate them). */
@@ -105,6 +111,29 @@ class LearnedScheduler : public Scheduler
 
     /** Decisions settled so far (== trace records when tracing). */
     std::uint64_t decisions() const { return _decisions; }
+
+    /** The board state every candidate of one decision step shares. */
+    struct Board
+    {
+        const Fabric *fabric;
+        SimTime now;
+        std::uint32_t numSlots;
+        std::uint32_t freeSlots;
+        double freeFraction;   //!< Feature 4.
+        double energyPressure; //!< Feature 14.
+    };
+
+    /** Read the board, once per decision step. */
+    Board readBoard();
+
+    /**
+     * Feature vector of @p action on @p board, with @p app the action's
+     * target (nullptr for NoOp): the doubles a snapshot of the same
+     * state would give, in the same order.
+     */
+    void featurize(std::array<double, kPolicyFeatures> &phi,
+                   const Board &board, const SchedAction &action,
+                   const AppInstance *app) const;
 
   private:
     /** One scored candidate action. */
@@ -117,16 +146,11 @@ class LearnedScheduler : public Scheduler
     /** NoOp + Configure/Prefetch per app row + one Preempt. */
     static constexpr std::size_t kMaxCandidates = 2 * kMaxAppObs + 2;
 
-    /** Credit the previous decision against the fresh snapshot. */
-    void settlePrevious(const SchedObservation &obs);
+    /** Credit the previous decision against the current state. */
+    void settlePrevious();
 
-    /** Fill _candidates from @p obs; returns the candidate count. */
-    std::size_t enumerateCandidates(const SchedObservation &obs);
-
-    /** Feature vector for (obs, action) with @p app the action target. */
-    void featurize(std::array<double, kPolicyFeatures> &phi,
-                   const SchedObservation &obs, const SchedAction &action,
-                   const AppObs *app) const;
+    /** Fill _candidates from live state; returns the candidate count. */
+    std::size_t enumerateCandidates();
 
     /** w . phi */
     double score(const std::array<double, kPolicyFeatures> &phi) const;
@@ -138,14 +162,13 @@ class LearnedScheduler : public Scheduler
     std::array<double, kPolicyFeatures> _w;
     Rng _rng;
 
-    ObservationBuilder _builder;
     std::array<Candidate, kMaxCandidates> _candidates;
 
     /**
-     * Previous settled decision (reward target). _prevObs is copied only
-     * while the trace is open, its one reader.
+     * Previous settled decision (reward target). While the trace is
+     * open, _builder holds the snapshot it was taken on.
      */
-    SchedObservation _prevObs;
+    ObservationBuilder _builder;
     SchedAction _prevAction;
     std::array<double, kPolicyFeatures> _prevPhi;
     bool _havePrev = false;

@@ -1,18 +1,18 @@
 /**
  * @file
  * Gym-style scheduler observation: a flat POD snapshot of everything a
- * scheduling policy may condition on, filled once per pass.
+ * scheduling policy may condition on.
  *
  * The paper's schedulers reach into hypervisor internals ad hoc (bespoke
  * liveApps() walks, slot scans). The observation layer makes the
  * (observation -> action) step explicit: ObservationBuilder walks
- * SchedulerOps exactly once and lands the result in fixed-capacity
- * arrays, so a learned policy — or an offline training pipeline replaying
- * a captured trace — sees the same feature rows the built-in schedulers
- * use. The snapshot is trivially copyable and every byte of it is
- * written or zeroed, so "same state" means "byte-identical snapshot"
- * (memcmp), and a binary trace of snapshots is replayable across builds
- * (see policy/trace.hh and docs/policy.md for the on-disk layout).
+ * SchedulerOps once and lands the result in fixed-capacity arrays, so an
+ * offline training pipeline replaying a captured trace sees the state
+ * the learned policy featurized. The snapshot is trivially copyable and
+ * every byte of it is written or zeroed, so "same state" means
+ * "byte-identical snapshot" (memcmp), and a binary trace of snapshots is
+ * replayable across builds (see policy/trace.hh and docs/policy.md for
+ * the on-disk layout).
  *
  * Capacity limits: boards larger than kMaxSlotObs slots or live sets
  * deeper than kMaxAppObs rows mark the snapshot truncated, and the
@@ -217,36 +217,13 @@ static_assert(sizeof(SchedObservation) ==
               "SchedObservation layout is part of the trace file format");
 
 /**
- * Single-slot estimate of an app's remaining work from its feature row:
- * estLatency x itemsRemaining / totalItems, carried out in 128-bit so
- * large batches (itemsRemaining in the millions) cannot overflow the
- * 64-bit intermediate product — the overflow collapsed PREMA's
- * shortest-remaining order into garbage ties for fine-grained batches.
- */
-inline SimTime
-estimatedRemaining(const AppObs &a)
-{
-    if (a.totalItems <= 0)
-        return 0;
-    return static_cast<SimTime>(static_cast<__int128>(a.estLatency) *
-                                a.itemsRemaining / a.totalItems);
-}
-
-/**
- * Fills SchedObservation from SchedulerOps, once per pass.
+ * Fills a SchedObservation from SchedulerOps.
  *
- * Owns the snapshot storage, so a steady-state rebuild writes in place
- * and allocates nothing. The app-row order is the caller's (candidate
- * pool or liveApps()), making rows directly comparable to the walks
- * they replace.
- *
- * Clean ticks are cheap: when SchedulerOps::stateVersion() is nonzero
- * and equal to the previous build's, and @p apps lists the same apps,
- * build() rewrites the header and the slot rows but refreshes only the
- * app-row fields that can move without a version bump (refreshAppObs())
- * instead of refilling every row. A pass's own configure() and
- * preempt() calls do not advance the version until the pass returns, so
- * a caller that rebuilds after acting must invalidate() first.
+ * Owns the snapshot storage, so a rebuild writes in place and allocates
+ * nothing. The app-row order is the caller's (candidate pool or
+ * liveApps()). Every build reads the whole state afresh; the learned
+ * policy featurizes from live state and builds a snapshot only for its
+ * decision trace.
  */
 class ObservationBuilder
 {
@@ -258,42 +235,11 @@ class ObservationBuilder
     const SchedObservation &build(SchedulerOps &ops,
                                   const std::vector<AppInstance *> &apps);
 
-    /** Make the next build() a full rebuild. */
-    void invalidate() { _builtVersion = 0; }
-
-    /** Builds that took the clean-tick refresh (counted for tests). */
-    std::uint64_t refreshes() const { return _refreshes; }
-
     /** The last built snapshot. */
     const SchedObservation &observation() const { return _obs; }
 
-    /**
-     * Fill one application feature row (padding zeroed) in O(1): the
-     * task-state fields come from AppInstance's tallies. Static so
-     * schedulers can source per-candidate features through the builder
-     * without bounding their candidate count by kMaxAppObs.
-     */
-    static void fillAppObs(AppObs &out, SchedulerOps &ops,
-                           AppInstance &app);
-
-    /**
-     * Rewrite the fields of a filled row that can change while the
-     * state version stands still: the time-driven ones (waitingTime,
-     * deadlineSlack) and the scheduler's own bookkeeping (token,
-     * candidacy, slot allocation and the over-consumption derived from
-     * it). Every other field is a function of version-tracked state.
-     */
-    static void refreshAppObs(AppObs &row, SchedulerOps &ops,
-                              const AppInstance &app);
-
   private:
-    /** True when @p apps lists the apps of the last build's rows. */
-    bool sameApps(const std::vector<AppInstance *> &apps) const;
-
     SchedObservation _obs{};
-    /** stateVersion() at the last build; 0 forces a full rebuild. */
-    std::uint64_t _builtVersion = 0;
-    std::uint64_t _refreshes = 0;
 };
 
 } // namespace nimblock

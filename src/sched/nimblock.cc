@@ -21,7 +21,7 @@ NimblockConfig::nameFor(bool pipelining, bool preemption)
 NimblockScheduler::NimblockScheduler(NimblockConfig cfg)
     : Scheduler(NimblockConfig::nameFor(cfg.enablePipelining,
                                         cfg.enablePreemption)),
-      _cfg(cfg)
+      _cfg(cfg), _tokens(cfg.tokens)
 {
     _lastCandidateIds.reserve(64);
     _candidates.reserve(64);
@@ -33,12 +33,6 @@ NimblockScheduler::NimblockScheduler(NimblockConfig cfg)
 void
 NimblockScheduler::ensureComponents()
 {
-    if (!_tokens) {
-        _tokens = std::make_unique<TokenPolicy>(
-            _cfg.tokens, [this](AppInstance &a) {
-                return ops().estimatedSingleSlotLatency(a);
-            });
-    }
     if (!_goals && !_sharedGoals) {
         MakespanParams params;
         params.pipelined = _cfg.enablePipelining;
@@ -79,6 +73,7 @@ NimblockScheduler::onCapacityChanged()
 void
 NimblockScheduler::onAppAdmitted(AppInstance &app)
 {
+    ops().estimatedSingleSlotLatency(app);
     goalNumberFor(app);
 }
 
@@ -288,7 +283,7 @@ NimblockScheduler::pass(SchedEvent reason)
     // previous pass are still exact, so the per-id findApp re-resolution
     // is skipped entirely.
     if (TokenPolicy::accumulatesOn(reason)) {
-        _candidates = _tokens->update(ops().liveApps(), ops().now());
+        _candidates = _tokens.update(ops().liveApps(), ops().now());
         _poolEpoch = ops().liveAppsEpoch();
     } else if (_poolEpoch != ops().liveAppsEpoch()) {
         _candidates.clear();

@@ -74,9 +74,10 @@ class NimblockScheduler : public Scheduler
     void onCapacityChanged() override;
 
     /**
-     * Warm the goal-number cache for the app's (spec, batch) pair while
-     * admission is already allocating: the value is a pure function of
-     * the pair, and computing it here keeps reallocation passes free of
+     * Memoize the app's latency estimate for the token step, and warm
+     * the goal-number cache for its (spec, batch) pair while admission
+     * is already allocating: the value is a pure function of the pair,
+     * and computing it here keeps reallocation passes free of
      * first-query cache fills (the steady-state zero-allocation
      * invariant, which now also covers clusters).
      */
@@ -95,7 +96,7 @@ class NimblockScheduler : public Scheduler
     std::size_t goalNumberFor(AppInstance &app);
 
   private:
-    /** Lazily build token policy + goal cache (fabric known post-attach). */
+    /** Lazily build the goal cache (fabric known post-attach). */
     void ensureComponents();
 
     /** §4.2: recompute slots_allocated for every live application. */
@@ -122,7 +123,7 @@ class NimblockScheduler : public Scheduler
     bool configureInFlight();
 
     NimblockConfig _cfg;
-    std::unique_ptr<TokenPolicy> _tokens;
+    TokenPolicy _tokens;
     std::unique_ptr<GoalNumberCache> _goals;
 
     /**

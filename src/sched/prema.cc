@@ -5,7 +5,7 @@
 namespace nimblock {
 
 PremaScheduler::PremaScheduler(TokenPolicyConfig token_cfg)
-    : Scheduler("prema"), _tokenCfg(token_cfg)
+    : Scheduler("prema"), _tokens(token_cfg)
 {
     _candidateIds.reserve(64);
     _placedIds.reserve(64);
@@ -13,34 +13,21 @@ PremaScheduler::PremaScheduler(TokenPolicyConfig token_cfg)
     _byRemaining.reserve(64);
 }
 
-SimTime
-PremaScheduler::estimatedRemaining(AppInstance &app)
+void
+PremaScheduler::onAppAdmitted(AppInstance &app)
 {
-    // The candidate features come from the shared observation layer; the
-    // 128-bit estimate there also fixes the int64 overflow this
-    // computation had for large-batch / long-latency candidates, where
-    // the truncated product collapsed the shortest-remaining order.
-    ObservationBuilder::fillAppObs(_featureRow, ops(), app);
-    return nimblock::estimatedRemaining(_featureRow);
+    ops().estimatedSingleSlotLatency(app);
 }
 
 void
 PremaScheduler::pass(SchedEvent reason)
 {
-    if (!_tokens) {
-        _tokens = std::make_unique<TokenPolicy>(
-            _tokenCfg,
-            [this](AppInstance &a) {
-                return ops().estimatedSingleSlotLatency(a);
-            });
-    }
-
     // Tokens accumulate on intervals, arrivals and completions; other
     // passes reuse the candidate pool from the last accumulation. While
     // the live-app set is unchanged (same epoch), the cached pointer
     // pool from the previous pass is still exact — no id re-resolution.
     if (TokenPolicy::accumulatesOn(reason)) {
-        _candidates = _tokens->update(ops().liveApps(), ops().now());
+        _candidates = _tokens.update(ops().liveApps(), ops().now());
         _candidateIds.clear();
         for (AppInstance *app : _candidates)
             _candidateIds.push_back(app->id());
@@ -75,13 +62,20 @@ PremaScheduler::pass(SchedEvent reason)
     _placedIds = _candidateIds;
 
     // Shortest estimated remaining execution first. The estimate is
-    // computed once per candidate (not inside the comparator), and the
-    // candidate's index in _candidates breaks ties, reproducing the
-    // stable sort this replaces.
+    // computed once per candidate (not inside the comparator), in
+    // 128-bit so large batches of long apps cannot overflow the order,
+    // and the candidate's index in _candidates breaks ties, reproducing
+    // the stable sort this replaces.
     _byRemaining.clear();
     _byRemaining.reserve(_candidates.size());
-    for (std::size_t i = 0; i < _candidates.size(); ++i)
-        _byRemaining.emplace_back(estimatedRemaining(*_candidates[i]), i);
+    for (std::size_t i = 0; i < _candidates.size(); ++i) {
+        const AppInstance &app = *_candidates[i];
+        const std::int64_t total = app.totalItems();
+        _byRemaining.emplace_back(
+            estimatedRemaining(app.latencyEstimate(),
+                               total - app.itemsDoneTotal(), total),
+            i);
+    }
     std::sort(_byRemaining.begin(), _byRemaining.end());
 
     for (auto &[remaining, idx] : _byRemaining) {

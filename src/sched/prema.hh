@@ -13,7 +13,6 @@
 #ifndef NIMBLOCK_SCHED_PREMA_HH
 #define NIMBLOCK_SCHED_PREMA_HH
 
-#include "policy/observation.hh"
 #include "sched/prema_tokens.hh"
 #include "sched/scheduler.hh"
 
@@ -27,12 +26,12 @@ class PremaScheduler : public Scheduler
 
     void pass(SchedEvent reason) override;
 
-  private:
-    /** Scheduler-visible estimate of @p app's remaining work. */
-    SimTime estimatedRemaining(AppInstance &app);
+    /** Memoize @p app's latency estimate for the token step and the
+        shortest-remaining order. */
+    void onAppAdmitted(AppInstance &app) override;
 
-    TokenPolicyConfig _tokenCfg;
-    std::unique_ptr<TokenPolicy> _tokens; //!< Created on first pass.
+  private:
+    TokenPolicy _tokens;
 
     /** Candidate pool persisted between token accumulations. */
     std::vector<AppInstanceId> _candidateIds;
@@ -54,13 +53,6 @@ class PremaScheduler : public Scheduler
     /** Pass-local scratch (candidates and their sort keys). */
     std::vector<AppInstance *> _candidates;
     std::vector<std::pair<SimTime, std::size_t>> _byRemaining;
-
-    /**
-     * Feature-row scratch for estimatedRemaining(): candidate features
-     * come from the shared ObservationBuilder so PREMA sees exactly what
-     * a learned policy (or a captured trace) sees.
-     */
-    AppObs _featureRow;
 };
 
 } // namespace nimblock

@@ -6,11 +6,8 @@
 
 namespace nimblock {
 
-TokenPolicy::TokenPolicy(TokenPolicyConfig cfg, LatencyEstimator estimator)
-    : _cfg(cfg), _estimator(std::move(estimator))
+TokenPolicy::TokenPolicy(TokenPolicyConfig cfg) : _cfg(cfg)
 {
-    if (!_estimator)
-        fatal("token policy needs a latency estimator");
     if (_cfg.alpha < 0)
         fatal("token alpha must be non-negative");
     _degradation.reserve(64);
@@ -55,7 +52,10 @@ TokenPolicy::update(const std::vector<AppInstance *> &apps, SimTime now)
     double max_degradation = 0.0;
     for (std::size_t i = 0; i < apps.size(); ++i) {
         AppInstance &app = *apps[i];
-        SimTime est = _estimator(app);
+        SimTime est = app.latencyEstimate();
+        if (est == kTimeNone)
+            panic("token policy: %s has no latency estimate",
+                  app.toString().c_str());
         if (est <= 0)
             est = 1;
         _degradation[i] = static_cast<double>(now - app.arrival()) /

@@ -16,7 +16,6 @@
 #ifndef NIMBLOCK_SCHED_PREMA_TOKENS_HH
 #define NIMBLOCK_SCHED_PREMA_TOKENS_HH
 
-#include <functional>
 #include <vector>
 
 #include "hypervisor/app_instance.hh"
@@ -31,14 +30,15 @@ struct TokenPolicyConfig
     double alpha = 1.0;
 };
 
-/** Implements Algorithm 1 over the live application list. */
+/**
+ * Implements Algorithm 1 over the live application list. The degradation
+ * unit is each app's AppInstance::latencyEstimate(), which the owning
+ * scheduler memoizes in onAppAdmitted(); update() panics without it.
+ */
 class TokenPolicy
 {
   public:
-    /** Estimates an app's isolated latency (the degradation unit). */
-    using LatencyEstimator = std::function<SimTime(AppInstance &)>;
-
-    TokenPolicy(TokenPolicyConfig cfg, LatencyEstimator estimator);
+    explicit TokenPolicy(TokenPolicyConfig cfg);
 
     /**
      * True for pass reasons on which tokens accumulate: "applications
@@ -75,7 +75,6 @@ class TokenPolicy
 
   private:
     TokenPolicyConfig _cfg;
-    LatencyEstimator _estimator;
     double _threshold = 0.0;
     /** Scratch reused across updates (valid until the next update()). */
     std::vector<double> _degradation;

@@ -20,7 +20,9 @@
 #include "policy/learned.hh"
 #include "policy/observation.hh"
 #include "policy/trace.hh"
+#include "sched/factory.hh"
 #include "sim/logging.hh"
+#include "taskgraph/builder.hh"
 #include "workload/generator.hh"
 #include "workload/scenario.hh"
 
@@ -124,47 +126,97 @@ TEST(PolicyObservation, NoOpActionHasZeroedPadding)
 
 TEST(PolicyObservation, EstimatedRemainingMatchesExactSmallCases)
 {
-    AppObs a{};
-    a.estLatency = simtime::ms(250);
-    a.totalItems = 4 * 100;
-    a.itemsRemaining = 123;
-    EXPECT_EQ(estimatedRemaining(a), a.estLatency * 123 / 400);
-
-    a.itemsRemaining = 0;
-    EXPECT_EQ(estimatedRemaining(a), 0);
-    a.itemsRemaining = a.totalItems;
-    EXPECT_EQ(estimatedRemaining(a), a.estLatency);
-
-    a.totalItems = 0;
-    EXPECT_EQ(estimatedRemaining(a), 0);
+    const SimTime est = simtime::ms(250);
+    EXPECT_EQ(estimatedRemaining(est, 123, 400), est * 123 / 400);
+    EXPECT_EQ(estimatedRemaining(est, 0, 400), 0);
+    EXPECT_EQ(estimatedRemaining(est, 400, 400), est);
+    EXPECT_EQ(estimatedRemaining(est, 400, 0), 0);
 }
 
 TEST(PolicyObservation, EstimatedRemainingSurvivesInt64Overflow)
 {
     // Large batch of tiny items: total estimate ~18 simulated minutes
     // (1.1e12 ns) over 1e8 items with half remaining. The old int64
-    // intermediate product (estLatency * itemsRemaining = 5.5e19)
-    // overflowed and collapsed PREMA's shortest-remaining order; the
-    // 128-bit path returns the exact proportional estimate.
-    AppObs a{};
-    a.estLatency = std::int64_t{1} << 40;
-    a.totalItems = 100'000'000;
-    a.itemsRemaining = 50'000'000;
-    EXPECT_EQ(estimatedRemaining(a), a.estLatency / 2);
-    EXPECT_GT(estimatedRemaining(a), 0);
+    // intermediate product (estimate * remaining = 5.5e19) overflowed
+    // and collapsed PREMA's shortest-remaining order; the 128-bit path
+    // returns the exact proportional estimate.
+    const SimTime big = std::int64_t{1} << 40;
+    const std::int64_t total = 100'000'000;
+    EXPECT_EQ(estimatedRemaining(big, total / 2, total), big / 2);
+    EXPECT_GT(estimatedRemaining(big, total / 2, total), 0);
 
     // Worst realistic magnitudes stay exact too.
-    a.estLatency = simtime::sec(3600);
-    a.itemsRemaining = a.totalItems - 1;
-    SimTime r = estimatedRemaining(a);
+    const SimTime hour = simtime::sec(3600);
+    SimTime r = estimatedRemaining(hour, total - 1, total);
     EXPECT_GT(r, 0);
-    EXPECT_LE(r, a.estLatency);
+    EXPECT_LE(r, hour);
+
+    // The hypervisor's remaining-work estimate (rebalancer victims,
+    // checkpoints, board load) shares the 128-bit helper: one 100 ms task
+    // with a batch of 10^6 and no item done still needs its whole
+    // single-slot estimate, whose product with the item count is past
+    // the int64 range.
+    TaskSpec task;
+    task.name = "tiny";
+    task.itemLatency = simtime::ms(100);
+    GraphBuilder graph;
+    graph.addTask(task);
+    auto spec = std::make_shared<AppSpec>("tiny", "T", graph.build());
+    SystemConfig cfg;
+    EventQueue eq;
+    Fabric fabric(eq, cfg.fabric);
+    std::unique_ptr<Scheduler> sched = makeScheduler("fcfs");
+    MetricsCollector collector;
+    Hypervisor hyp(eq, fabric, *sched, collector, cfg.hypervisor);
+    AppInstance &app =
+        *hyp.findApp(hyp.submit(spec, 1'000'000, Priority::Low, 0));
+    const SimTime est = hyp.estimatedSingleSlotLatency(app);
+    ASSERT_GT(static_cast<__int128>(est) * app.totalItems(),
+              static_cast<__int128>(INT64_MAX));
+    EXPECT_EQ(hyp.remainingWorkEstimate(app), est);
+    EXPECT_EQ(hyp.pendingWorkEstimate(), est);
+
+    // PREMA's shortest-remaining order uses the same helper. On a
+    // one-slot board, a 10 ms x 10^6 app (product ~1e19, which wraps
+    // negative in 64 bits) and a one-item app arrive together: the
+    // short app must take the slot.
+    TaskSpec item;
+    item.name = "item";
+    item.itemLatency = simtime::ms(10);
+    GraphBuilder long_graph;
+    long_graph.addTask(item);
+    auto long_spec =
+        std::make_shared<AppSpec>("long", "L", long_graph.build());
+    SystemConfig one_slot;
+    one_slot.fabric.numSlots = 1;
+    EventQueue prema_eq;
+    Fabric prema_fabric(prema_eq, one_slot.fabric);
+    std::unique_ptr<Scheduler> prema = makeScheduler("prema");
+    MetricsCollector prema_collector;
+    Hypervisor prema_hyp(prema_eq, prema_fabric, *prema, prema_collector,
+                         one_slot.hypervisor);
+    const AppInstanceId long_id =
+        prema_hyp.submit(long_spec, 1'000'000, Priority::Low, 0);
+    const AppInstanceId short_id = prema_hyp.submit(spec, 1, Priority::Low, 1);
+    AppInstance &long_app = *prema_hyp.findApp(long_id);
+    ASSERT_LT(static_cast<__int128>(
+                  prema_hyp.estimatedSingleSlotLatency(long_app)) *
+                  long_app.totalItems(),
+              static_cast<__int128>(1) << 64);
+    ASSERT_GT(static_cast<__int128>(
+                  prema_hyp.estimatedSingleSlotLatency(long_app)) *
+                  long_app.totalItems(),
+              static_cast<__int128>(INT64_MAX));
+    prema_hyp.start();
+    while (prema_fabric.slot(0).isFree() && prema_eq.step()) {
+    }
+    EXPECT_EQ(prema_fabric.slot(0).app(), short_id);
 }
 
 // ---------------------------------------------------------------------
-// Golden byte-identity: PREMA and Nimblock now source their candidate
-// features through ObservationBuilder; results must match the digests
-// captured before the refactor (seed build, same stimuli).
+// Golden byte-identity: results must match the digests captured before
+// each refactor of the schedulers' candidate features (seed build, same
+// stimuli).
 
 struct GoldenCase
 {

@@ -34,8 +34,12 @@ class TokenTest : public ::testing::Test
         owned.push_back(std::make_unique<AppInstance>(
             static_cast<AppInstanceId>(owned.size() + 1), spec, batch, prio,
             arrival, 0));
-        apps.push_back(owned.back().get());
-        return owned.back().get();
+        AppInstance *app = owned.back().get();
+        // Simple estimate: batch x summed item latency.
+        app->setLatencyEstimate(
+            app->graph().totalEstimatedItemLatency() * app->batch());
+        apps.push_back(app);
+        return app;
     }
 
     TokenPolicy
@@ -43,10 +47,7 @@ class TokenTest : public ::testing::Test
     {
         TokenPolicyConfig cfg;
         cfg.alpha = alpha;
-        return TokenPolicy(cfg, [](AppInstance &a) {
-            // Simple estimator: batch x summed item latency.
-            return a.graph().totalEstimatedItemLatency() * a.batch();
-        });
+        return TokenPolicy(cfg);
     }
 
     std::vector<std::unique_ptr<AppInstance>> owned;
@@ -170,9 +171,14 @@ TEST_F(TokenTest, RejectsBadConfig)
 {
     TokenPolicyConfig cfg;
     cfg.alpha = -1.0;
-    EXPECT_THROW(TokenPolicy(cfg, [](AppInstance &) { return SimTime(1); }),
-                 FatalError);
-    EXPECT_THROW(TokenPolicy(TokenPolicyConfig{}, nullptr), FatalError);
+    EXPECT_THROW(TokenPolicy{cfg}, FatalError);
+
+    // An app whose scheduler never memoized its latency estimate is a
+    // simulator bug: the token step panics.
+    AppInstance *app = add(Priority::Low, 0);
+    app->setLatencyEstimate(kTimeNone);
+    TokenPolicy tp = policy();
+    EXPECT_DEATH(tp.update(apps, 0), "no latency estimate");
 }
 
 } // namespace

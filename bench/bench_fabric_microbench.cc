@@ -129,9 +129,8 @@ BENCHMARK(BM_EventQueueSteadyState)->Arg(1000)->Arg(10000);
 class TimerWorkload
 {
   public:
-    TimerWorkload(EventQueueImpl impl, std::size_t pending)
-        : _eq(impl),
-          _pass(_eq.addTimer("sched_pass", [this] { ++_passes; })),
+    explicit TimerWorkload(std::size_t pending)
+        : _pass(_eq.addTimer("sched_pass", [this] { ++_passes; })),
           _tick(_eq, simtime::ms(400), "sched_tick",
                 [this] { requestPass(); })
     {
@@ -174,10 +173,8 @@ void
 BM_EventQueueTimers(benchmark::State &state)
 {
     const auto pending = static_cast<std::size_t>(state.range(0));
-    const EventQueueImpl impl =
-        state.range(1) ? EventQueueImpl::Wheel : EventQueueImpl::Heap;
     constexpr int kStepsPerIter = 1000;
-    TimerWorkload w(impl, pending);
+    TimerWorkload w(pending);
     EventQueue &eq = w.queue();
     for (int i = 0; i < kStepsPerIter; ++i) // Reach the steady footprint.
         eq.step();
@@ -196,30 +193,20 @@ BM_EventQueueTimers(benchmark::State &state)
         static_cast<double>(w.passes() - passes_before) / fired);
 }
 
-BENCHMARK(BM_EventQueueTimers)
-    ->ArgNames({"pending", "wheel"})
-    ->Args({5, 0})
-    ->Args({5, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1});
+BENCHMARK(BM_EventQueueTimers)->ArgName("pending")->Arg(5)->Arg(1000);
 
 /**
  * Hold model of the bare event kernel: fill the queue to `depth`, then
  * step it and schedule one replacement per fired event, so each item is
- * one schedule plus one fire at a constant pending depth, the regime
- * where the heap's O(log n) and the wheel's O(1) diverge. 75% of the
- * holds are sub-ms and stay on the wheel's level 0; 25% run 1-100 ms and
- * cascade down from upper levels before firing. This is the measurement
- * behind EventQueue::kAutoWheelThreshold.
+ * one schedule plus one fire at a constant pending depth. 75% of the
+ * holds are sub-ms and 25% run 1-100 ms.
  */
 void
 BM_EventQueueHold(benchmark::State &state)
 {
     const auto depth = static_cast<std::size_t>(state.range(0));
-    const EventQueueImpl impl =
-        state.range(1) ? EventQueueImpl::Wheel : EventQueueImpl::Heap;
     constexpr int kStepsPerIter = 1000;
-    EventQueue eq(impl);
+    EventQueue eq;
     eq.reserve(depth + 64);
     Rng rng(0xbadc0ffeeULL + depth);
     auto delta = [&rng]() -> SimTime {
@@ -250,13 +237,10 @@ BM_EventQueueHold(benchmark::State &state)
 }
 
 BENCHMARK(BM_EventQueueHold)
-    ->ArgNames({"depth", "wheel"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+    ->ArgName("depth")
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000);
 
 void
 BM_BitstreamStoreHitPath(benchmark::State &state)

@@ -60,7 +60,6 @@ struct Options
     bool quick = false;
     std::uint64_t seed = 2023;
     std::string jsonPath = "BENCH_soak.json";
-    EventQueueImpl impl = EventQueueImpl::Auto;
     std::size_t boards = 4;
     /** Override the grid arrival rate; 0 keeps the per-mode default. */
     double rate = 0;
@@ -202,7 +201,6 @@ runCell(const std::string &label, SoakConfig cfg,
         std::vector<TenantSpec> tenants, const Options &opts,
         const WindowPlan &plan = WindowPlan{})
 {
-    cfg.cluster.board.eventQueue = opts.impl;
     CellResult r;
     r.label = label;
     r.arrival = arrivalKindName(cfg.arrivals.kind);
@@ -449,7 +447,6 @@ main(int argc, char **argv)
           "shorter horizons and a smaller steady window"},
          {"--seed", &opts.seed, "master seed"},
          {"--json", &opts.jsonPath, "results file"},
-         {"--impl", &opts.impl, "event queue", bench::queueImplNames()},
          {"--boards", &opts.boards, "headline cluster boards", 1},
          {"--rate", &opts.rate, "grid arrivals per second (0: per mode)"},
          {"--horizon-sec", &opts.horizonSec,

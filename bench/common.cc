@@ -56,8 +56,6 @@ valueLine(const Flag &row, const T &value)
     std::string def;
     if constexpr (std::is_same_v<T, std::string>)
         def = value;
-    else if constexpr (std::is_enum_v<T>)
-        def = row.names[static_cast<std::size_t>(value)];
     else if constexpr (std::is_integral_v<T>)
         def = value >= row.min ? std::to_string(value) : "";
     else
@@ -82,8 +80,6 @@ store(const Flag &row, T &field, const std::string &text)
               joinNames(row.names).c_str(), text.c_str());
     if constexpr (std::is_same_v<T, std::string>) {
         field = text;
-    } else if constexpr (std::is_enum_v<T>) {
-        field = static_cast<T>(valid - row.names.begin());
     } else {
         const char *end = text.data() + text.size();
         T value{};
@@ -162,12 +158,6 @@ parseFlagsOrExit(int argc, char **argv, const std::vector<Flag> &flags)
         std::fprintf(stderr, "%s: %s (see --help)\n", argv[0], e.what());
         std::exit(2);
     }
-}
-
-std::vector<std::string>
-queueImplNames()
-{
-    return {"wheel", "heap", "auto"};
 }
 
 std::vector<std::string>

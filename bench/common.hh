@@ -22,7 +22,6 @@
 
 #include "apps/registry.hh"
 #include "core/experiment.hh"
-#include "sim/event_queue.hh"
 #include "stats/csv.hh"
 #include "workload/scenario.hh"
 
@@ -39,15 +38,15 @@ inline constexpr double kPositive = std::numeric_limits<double>::denorm_min();
  * at. The whole argument must parse as the field's type ("12x", "1.9e3"
  * for an int and "-1" for an unsigned field are errors) and pass the
  * row's check: the inclusive lower bound @c min for a number, or
- * membership in @c names for a string. An enum field stores the index
- * of its name in @c names. A switch (no value) runs its action.
+ * membership in @c names for a string. A switch (no value) runs its
+ * action.
  */
 struct Flag
 {
     using Target =
         std::variant<int *, unsigned *, unsigned long *,
                      unsigned long long *, double *, std::string *,
-                     EventQueueImpl *, std::function<void()>>;
+                     std::function<void()>>;
 
     Flag(const char *flag, Target field, const char *text,
          double lower = -std::numeric_limits<double>::infinity())
@@ -68,7 +67,7 @@ struct Flag
      * "unset": --help omits it and the help text says what unset means.
      */
     double min = -std::numeric_limits<double>::infinity();
-    /** Valid values of a string or enum field; empty admits any string. */
+    /** Valid values of a string field; empty admits any string. */
     std::vector<std::string> names;
 };
 
@@ -87,12 +86,6 @@ void parseFlags(int argc, char **argv, const std::vector<Flag> &flags);
  * stderr line and exits 2. Run-time fatal()s after parsing still throw.
  */
 void parseFlagsOrExit(int argc, char **argv, const std::vector<Flag> &flags);
-
-/**
- * EventQueueImpl's names indexed by value: the valid set of the --impl
- * rows and the "impl" field of the bench JSON.
- */
-std::vector<std::string> queueImplNames();
 
 /**
  * Recover the per-line entries of the "history" array from a previous

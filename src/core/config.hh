@@ -26,14 +26,12 @@ struct SystemConfig
     HypervisorConfig hypervisor;
 
     /**
-     * Event-kernel ready structure. Auto resolves per run from the
-     * sequence size: the binary heap for shallow pending sets, the
-     * hierarchical time wheel for deep ones (crossover measured by
-     * BM_EventQueueHold in bench_fabric_microbench). All implementations
-     * produce byte-identical results (see tests/test_innerloop_identical
-     * and docs/event_kernel.md), so the knob only affects throughput.
+     * No effect: every EventQueueImpl value builds the same binary-heap
+     * event queue, and the simulator does not read this field. Kept
+     * because perfbench/ still does; it goes with EventQueueImpl once
+     * that harness stops naming them.
      */
-    EventQueueImpl eventQueue = EventQueueImpl::Auto;
+    EventQueueImpl eventQueue = EventQueueImpl::Heap;
 
     /**
      * Fault-injection model (see resilience/fault_injector.hh). Disabled

@@ -29,7 +29,7 @@ Simulation::run(const EventSequence &seq)
     if (seq.events.empty())
         fatal("cannot run an empty event sequence");
 
-    EventQueue eq(_cfg.eventQueue);
+    EventQueue eq;
     Fabric fabric(eq, _cfg.fabric);
     std::unique_ptr<Scheduler> scheduler;
     if (_cfg.scheduler == "learned" && !_cfg.policyTracePath.empty()) {

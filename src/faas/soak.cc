@@ -22,7 +22,7 @@ streamingConfig(ClusterConfig cfg, std::size_t pool_size)
 
 SoakEngine::SoakEngine(SoakConfig cfg, std::vector<TenantSpec> tenants,
                        const Rng &rng)
-    : _cfg(cfg), _eq(cfg.cluster.board.eventQueue),
+    : _cfg(cfg),
       _cluster(std::make_unique<Cluster>(
           _eq, streamingConfig(cfg.cluster, cfg.appPoolSize))),
       _ctx(cfg.cluster.board),
@@ -99,7 +99,7 @@ SoakEngine::start()
         hyp.setRetireListener(
             [this](const AppInstance &app) { onRetire(app); });
     }
-    // Pre-size the ready structure for the pending set a saturated
+    // Pre-size the event heap for the pending set a saturated
     // cluster carries (events per live app, not per horizon).
     _eq.reserve(std::max<std::size_t>(
         4096, _cfg.appPoolSize * _cluster->numBoards() * 4));

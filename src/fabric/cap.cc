@@ -6,14 +6,10 @@
 namespace nimblock {
 
 Cap::Cap(EventQueue &eq, CapConfig cfg)
-    : _eq(eq), _cfg(cfg), _faults(cfg.failureSeed)
+    : _eq(eq), _cfg(cfg)
 {
     if (cfg.bandwidthBytesPerSec <= 0)
         fatal("CAP bandwidth must be positive");
-    if (cfg.failureProb < 0 || cfg.failureProb >= 1)
-        fatal("CAP failure probability must be in [0, 1)");
-    if (cfg.maxRetries < 1)
-        fatal("CAP retry bound must be positive");
     _queue.reserve(16);
 }
 
@@ -38,8 +34,7 @@ void
 Cap::reconfigure(SlotId slot, std::uint64_t bytes, DoneCallback cb,
                  SimTime latency_override)
 {
-    _queue.push_back(Request{slot, bytes, std::move(cb), latency_override,
-                             0});
+    _queue.push_back(Request{slot, bytes, std::move(cb), latency_override});
     if (_counters) {
         _counters->sample(_ctrBacklog, _eq.now(),
                           static_cast<double>(_queue.size()));
@@ -62,30 +57,11 @@ Cap::startNext()
         latency, "cap_reconfig",
         [this, latency] {
             _busyTime += latency;
-            Request &head = _queue.front();
-            ++head.attempts;
-
-            // Fault injection: a failed CRC check re-streams the
-            // bitstream. Callers only observe the extra latency.
-            bool failed = _cfg.failureProb > 0 &&
-                          _faults.bernoulli(_cfg.failureProb);
-            if (failed && head.attempts < _cfg.maxRetries) {
-                ++_retries;
-                _busy = false;
-                startNext(); // Head of the queue retries first.
-                return;
-            }
-            if (failed) {
-                fatal("slot %u failed reconfiguration %d times — broken "
-                      "fabric?",
-                      head.slot, head.attempts);
-            }
-
-            // Resilience-layer fault injection: unlike the CRC model
-            // above, these failures are visible to the requester, which
-            // owns the retry/quarantine policy.
+            // Injected faults are visible to the requester, which owns
+            // the retry/quarantine policy.
             bool ok = true;
-            if (_injector && _injector->reconfigAttemptFails(head.slot)) {
+            if (_injector &&
+                _injector->reconfigAttemptFails(_queue.front().slot)) {
                 ok = false;
                 ++_visibleFailures;
             }

@@ -20,7 +20,6 @@
 #include "fabric/bitstream.hh"
 #include "metrics/counters.hh"
 #include "sim/event_queue.hh"
-#include "sim/rng.hh"
 
 namespace nimblock {
 
@@ -34,20 +33,6 @@ struct CapConfig
 
     /** Fixed per-reconfiguration overhead (decouple, setup, flush). */
     SimTime fixedOverhead = simtime::ms(2);
-
-    /**
-     * Fault injection: probability that one reconfiguration attempt
-     * fails its CRC check and is retried (the port re-streams the
-     * bitstream; the requester never observes the failure, only the
-     * added latency). 0 disables injection.
-     */
-    double failureProb = 0.0;
-
-    /** Seed for the (deterministic) fault-injection stream. */
-    std::uint64_t failureSeed = 1;
-
-    /** Retry bound per request; exceeding it is fatal (broken fabric). */
-    int maxRetries = 8;
 };
 
 /**
@@ -89,9 +74,6 @@ class Cap
     /** Number of reconfigurations completed. */
     std::uint64_t completedCount() const { return _completed; }
 
-    /** Number of injected CRC failures that forced a retry. */
-    std::uint64_t retries() const { return _retries; }
-
     /** Total time the port has spent streaming bits. */
     SimTime busyTime() const { return _busyTime; }
 
@@ -109,8 +91,7 @@ class Cap
      * Attach a fault injector (optional; may be null). When installed,
      * each reconfiguration attempt may fail visibly — the port stays
      * occupied for the full reconfiguration latency, then reports
-     * `ok == false` instead of fatal()ing. This is separate from the
-     * transparent CRC-retry model in CapConfig.
+     * `ok == false`.
      */
     void setFaultInjector(FaultInjector *injector) { _injector = injector; }
 
@@ -124,7 +105,6 @@ class Cap
         std::uint64_t bytes;
         DoneCallback cb;
         SimTime latencyOverride = kTimeNone;
-        int attempts = 0;
     };
 
     void startNext();
@@ -134,10 +114,8 @@ class Cap
     RingQueue<Request> _queue;
     bool _busy = false;
     std::uint64_t _completed = 0;
-    std::uint64_t _retries = 0;
     std::uint64_t _visibleFailures = 0;
     SimTime _busyTime = 0;
-    Rng _faults;
     FaultInjector *_injector = nullptr;
 
     CounterRegistry *_counters = nullptr;

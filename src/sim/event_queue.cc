@@ -32,7 +32,7 @@ toString(SimTime t)
 
 namespace {
 
-/** Ascending (when, seq) order for sorting and sorted batch inserts. */
+/** Ascending (when, seq) order of timer-lane entries. */
 struct ItemEarlier
 {
     template <typename Item>
@@ -50,13 +50,10 @@ struct ItemEarlier
 void
 EventQueue::growSlotArrays()
 {
-    _when.push_back(0);
-    _seq.push_back(0);
     _labelHash.push_back(0);
     _name.push_back(nullptr);
-    _next.push_back(kNilSlot);
     _gen.push_back(0);
-    _state.push_back(0);
+    _live.push_back(0);
     if (((_slotCount - 1) >> kSlotChunkShift) >= _chunks.size())
         _chunks.emplace_back(new Callback[kSlotChunkSize]);
 }
@@ -101,18 +98,9 @@ EventQueue::cancel(EventId id)
     std::uint32_t slot = slotOf(id);
     verifyLabel(_name[slot], _labelHash[slot]);
     --_liveCount;
-    if (_impl == EventQueueImpl::Heap) {
-        // Heap entries are skipped lazily by (gen, state); the slot can
-        // be recycled immediately.
-        freeEntry(slot);
-    } else {
-        // The slot is linked into a bucket list, the live batch, or the
-        // overflow heap; it keeps owning its storage (kQueued) until the
-        // drain unlinks it. Cancelling an entry of the batch currently
-        // being drained is therefore safe: the drain sees the cleared
-        // kLive bit and reclaims the slot instead of firing it.
-        _state[slot] &= ~kLive;
-    }
+    // The heap entry goes stale and is skipped lazily by (gen, live);
+    // the slot can be recycled at once.
+    freeEntry(slot);
     return true;
 }
 
@@ -254,22 +242,12 @@ EventQueue::laneRemove(std::uint32_t pos)
 void
 EventQueue::skipDead()
 {
-    while (!_heap.empty() && !isLive(_heap[0].id)) {
-        HeapItem item = _heap[0];
+    while (!_heap.empty() && !isLive(_heap[0].id))
         heapPop();
-        std::uint32_t slot = slotOf(item.id);
-        // Wheel-mode overflow entries keep owning their slot after
-        // cancellation; reclaim here. Heap-mode entries were reclaimed
-        // at cancel time and are merely stale.
-        if (_gen[slot] == genOf(item.id) && (_state[slot] & kQueued)) {
-            freeEntry(slot);
-            --_entries;
-        }
-    }
 }
 
 bool
-EventQueue::heapStep()
+EventQueue::step()
 {
     // A lane root ahead of the heap top, dead or not, fires at once.
     if (!_heap.empty() && !laneFirst(_heap[0]))
@@ -282,9 +260,12 @@ EventQueue::heapStep()
     return true;
 }
 
-void
-EventQueue::heapRun(SimTime horizon)
+std::uint64_t
+EventQueue::run(SimTime horizon)
 {
+    const std::uint64_t before = _fired;
+    const SimTime outer = _horizon;
+    _horizon = horizon;
     // Fused fire loop: one dead-entry sweep, bounds check and pop per
     // fired event (step() after a separate skipDead() would redo all
     // three).
@@ -302,311 +283,6 @@ EventQueue::heapRun(SimTime horizon)
         heapPop();
         fireItem(item);
     }
-}
-
-void
-EventQueue::place(std::uint32_t slot, SimTime when, std::uint64_t seq)
-{
-    std::uint64_t tick = tickOf(when);
-    if (tick <= _curTick) {
-        // Same granule as the current batch — or behind a cursor that
-        // ran ahead across empty space (legal whenever when >= now):
-        // either way it fires before everything still in the wheel, so
-        // it joins the live batch via sorted insert.
-        batchInsert(slot, when, seq);
-        return;
-    }
-    std::uint64_t diff = tick ^ _curTick;
-    unsigned level =
-        (63u - static_cast<unsigned>(__builtin_clzll(diff))) / kLevelBits;
-    if (level >= kLevels) {
-        // Beyond the wheel span: park in the sorted overflow heap;
-        // promoteOverflow() pulls it in as the cursor approaches.
-        _wheelFloor = std::min(_wheelFloor, tick);
-        _heap.push_back(HeapItem{when, seq, makeId(_gen[slot], slot)});
-        std::push_heap(_heap.begin(), _heap.end(), HeapItemLater{});
-        return;
-    }
-    const std::uint64_t window =
-        tick & ~((std::uint64_t{1} << (level * kLevelBits)) - 1);
-    _wheelFloor = std::min(_wheelFloor, window);
-    bucketPush(level, bucketIndex(tick, level), slot);
-}
-
-void
-EventQueue::batchInsert(std::uint32_t slot, SimTime when, std::uint64_t seq)
-{
-    HeapItem item{when, seq, makeId(_gen[slot], slot)};
-    // Co-granule schedules made during a drain usually belong after
-    // everything already batched (fresh, larger seq at the same or a
-    // later timestamp): append without the search-and-shift.
-    if (_batch.empty() || ItemEarlier{}(_batch.back(), item)) {
-        _batch.push_back(item);
-        return;
-    }
-    auto pos = std::lower_bound(
-        _batch.begin() + static_cast<std::ptrdiff_t>(_batchPos),
-        _batch.end(), item, ItemEarlier{});
-    _batch.insert(pos, item);
-}
-
-void
-EventQueue::drainBucket(std::uint32_t idx)
-{
-    std::uint32_t slot = _bucket[0][idx];
-    _bucket[0][idx] = kNilSlot;
-    _occ[0] &= ~(std::uint64_t{1} << idx);
-    while (slot != kNilSlot) {
-        std::uint32_t next = _next[slot];
-        if (_state[slot] & kLive) {
-            _batch.push_back(
-                HeapItem{_when[slot], _seq[slot], makeId(_gen[slot], slot)});
-        } else {
-            freeEntry(slot);
-            --_entries;
-        }
-        slot = next;
-    }
-    // Bucket lists are push-front (insertion order lost) and may mix
-    // directly-scheduled with cascaded entries: one sort restores the
-    // deterministic (when, seq) fire order. Singleton buckets — the
-    // common case at simulation event densities — skip it.
-    if (_batch.size() > 1)
-        std::sort(_batch.begin(), _batch.end(), ItemEarlier{});
-}
-
-void
-EventQueue::cascade(unsigned level, std::uint32_t idx)
-{
-    std::uint32_t slot = _bucket[level][idx];
-    _bucket[level][idx] = kNilSlot;
-    _occ[level] &= ~(std::uint64_t{1} << idx);
-    while (slot != kNilSlot) {
-        std::uint32_t next = _next[slot];
-        if (_state[slot] & kLive) {
-            // Re-place against the advanced cursor: lands at a strictly
-            // lower level, or straight in the batch when co-granular.
-            place(slot, _when[slot], _seq[slot]);
-        } else {
-            freeEntry(slot);
-            --_entries;
-        }
-        slot = next;
-    }
-}
-
-void
-EventQueue::promoteOverflow()
-{
-    // Pull overflow entries whose tick now falls inside the wheel span.
-    // Ordering stays safe: whatever remains in the overflow differs from
-    // the cursor above the top level, i.e. lies beyond the whole window
-    // every wheel entry lives in — the wheel always drains first.
-    for (;;) {
-        skipDead();
-        if (_heap.empty())
-            return;
-        std::uint64_t tick = tickOf(_heap[0].when);
-        if ((tick ^ _curTick) >> (kLevels * kLevelBits))
-            return;
-        HeapItem item = _heap[0];
-        heapPop();
-        place(slotOf(item.id), item.when, item.seq);
-    }
-}
-
-void
-EventQueue::purgeDead()
-{
-    for (unsigned level = 0; level < kLevels; ++level) {
-        while (_occ[level]) {
-            std::uint32_t idx =
-                static_cast<std::uint32_t>(__builtin_ctzll(_occ[level]));
-            _occ[level] &= _occ[level] - 1;
-            std::uint32_t slot = _bucket[level][idx];
-            _bucket[level][idx] = kNilSlot;
-            while (slot != kNilSlot) {
-                std::uint32_t next = _next[slot];
-                freeEntry(slot);
-                slot = next;
-            }
-        }
-    }
-    for (const HeapItem &item : _heap) {
-        std::uint32_t slot = slotOf(item.id);
-        if (_gen[slot] == genOf(item.id) && (_state[slot] & kQueued))
-            freeEntry(slot);
-    }
-    _heap.clear();
-    _entries = 0;
-    _wheelFloor = ~std::uint64_t{0};
-}
-
-bool
-EventQueue::advanceWheel()
-{
-    if (_liveCount == _lane.size()) {
-        // Nothing live in the wheel; reclaim whatever cancelled garbage
-        // is still linked so heapSize() drops back to the lane's size.
-        purgeDead();
-        return false;
-    }
-    for (;;) {
-        if (!_heap.empty()) {
-            promoteOverflow();
-            if (!_batch.empty())
-                return true; // Promotion landed co-granular entries.
-        }
-
-        // Find the lowest occupied level strictly ahead of the cursor.
-        // The current level-0 bucket itself is never occupied:
-        // co-granular events go straight to the batch.
-        unsigned level = 0;
-        std::uint32_t idx = 0;
-        bool found = false;
-        for (; level < kLevels; ++level) {
-            std::uint32_t cur = bucketIndex(_curTick, level);
-            std::uint64_t ahead = cur + 1 >= kBuckets
-                                      ? 0
-                                      : _occ[level] &
-                                            (~std::uint64_t{0} << (cur + 1));
-            if (ahead) {
-                idx = static_cast<std::uint32_t>(__builtin_ctzll(ahead));
-                found = true;
-                break;
-            }
-        }
-        // Exact floor: the found bucket's first tick (group `level` := idx,
-        // groups below := 0, groups above kept), else the overflow's.
-        if (found) {
-            std::uint64_t keepMask =
-                ~((std::uint64_t{1} << ((level + 1) * kLevelBits)) - 1);
-            _wheelFloor = (_curTick & keepMask) |
-                          (std::uint64_t{idx} << (level * kLevelBits));
-        } else {
-            skipDead();
-            if (_heap.empty()) {
-                purgeDead();
-                return false;
-            }
-            _wheelFloor = tickOf(_heap[0].when);
-        }
-        if (laneLeads(_wheelFloor))
-            return false;
-        _curTick = _wheelFloor;
-        if (!found)
-            continue; // Let promotion pull the overflow's window in.
-        if (level == 0)
-            drainBucket(idx);
-        else
-            cascade(level, idx);
-        if (!_batch.empty())
-            return true;
-        // All-dead bucket; rescan with the advanced cursor.
-    }
-}
-
-bool
-EventQueue::wheelStepSlow()
-{
-    // The inline step() fast path exhausted the open batch: open the
-    // next one unless the lane root leads. A fresh batch holds only live
-    // entries, so step() then fires without coming back here.
-    _batch.clear();
-    _batchPos = 0;
-    if (laneLeads(_wheelFloor) || !advanceWheel())
-        return fireTimer();
-    return step();
-}
-
-void
-EventQueue::wheelRun(SimTime horizon)
-{
-    for (;;) {
-        if (_batchPos < _batch.size() && !laneFirst(_batch[_batchPos])) {
-            HeapItem item = _batch[_batchPos];
-            std::uint32_t slot = slotOf(item.id);
-            if (!(_state[slot] & kLive)) {
-                ++_batchPos;
-                --_entries;
-                freeEntry(slot);
-                continue;
-            }
-            if (item.when > horizon)
-                break;
-            ++_batchPos;
-            --_entries;
-            fireItem(item);
-            continue;
-        }
-        if (_batchPos >= _batch.size()) {
-            _batch.clear();
-            _batchPos = 0;
-            if (!laneLeads(_wheelFloor) && advanceWheel())
-                continue;
-        }
-        if (_lane.empty() || _laneWhen > horizon)
-            break;
-        fireTimer();
-    }
-}
-
-SimTime
-EventQueue::wheelNextEventTime()
-{
-    // Reclaim dead entries at the batch head (mirrors the heap's
-    // skipDead() side effect), then peek.
-    while (_batchPos < _batch.size()) {
-        std::uint32_t slot = slotOf(_batch[_batchPos].id);
-        if (_state[slot] & kLive)
-            return _batch[_batchPos].when;
-        freeEntry(slot);
-        --_entries;
-        ++_batchPos;
-    }
-
-    // Read-only scan of the wheel — the cursor must NOT move here: a
-    // later schedule with now <= when < next-occupied-bucket must still
-    // land ahead of the cursor. Within a level, ahead-buckets appear in
-    // time order, and every level-k event precedes every level-(k+1)
-    // event (level-k entries share the cursor's level-(k+1) group;
-    // level-(k+1) entries lie beyond it), so the first bucket holding a
-    // live entry yields the minimum.
-    for (unsigned level = 0; level < kLevels; ++level) {
-        std::uint32_t cur = bucketIndex(_curTick, level);
-        std::uint64_t ahead = cur + 1 >= kBuckets
-                                  ? 0
-                                  : _occ[level] &
-                                        (~std::uint64_t{0} << (cur + 1));
-        while (ahead) {
-            std::uint32_t idx =
-                static_cast<std::uint32_t>(__builtin_ctzll(ahead));
-            ahead &= ahead - 1;
-            SimTime best = kTimeNone;
-            for (std::uint32_t slot = _bucket[level][idx];
-                 slot != kNilSlot; slot = _next[slot]) {
-                if ((_state[slot] & kLive) &&
-                    (best == kTimeNone || _when[slot] < best))
-                    best = _when[slot];
-            }
-            if (best != kTimeNone)
-                return best;
-        }
-    }
-    skipDead();
-    return _heap.empty() ? kTimeNone : _heap[0].when;
-}
-
-std::uint64_t
-EventQueue::run(SimTime horizon)
-{
-    const std::uint64_t before = _fired;
-    const SimTime outer = _horizon;
-    _horizon = horizon;
-    if (_impl == EventQueueImpl::Heap)
-        heapRun(horizon);
-    else
-        wheelRun(horizon);
     _horizon = outer;
     return _fired - before;
 }
@@ -614,8 +290,6 @@ EventQueue::run(SimTime horizon)
 SimTime
 EventQueue::readyNextTime()
 {
-    if (_impl != EventQueueImpl::Heap)
-        return wheelNextEventTime();
     skipDead();
     return _heap.empty() ? kTimeNone : _heap[0].when;
 }
@@ -632,23 +306,12 @@ EventQueue::nextEventTime()
 void
 EventQueue::reserve(std::size_t events)
 {
-    // An Auto queue resolves its ready structure from the caller's
-    // capacity hint, but only while nothing has been scheduled yet: the
-    // switch just flips the dispatch flag, it does not migrate entries.
-    if (_auto && _now == 0 && _liveCount == 0 && _heap.empty() &&
-        events >= kAutoWheelThreshold)
-        _impl = EventQueueImpl::Wheel;
-
     _heap.reserve(events);
     _free.reserve(events);
-    _batch.reserve(events);
-    _when.reserve(events);
-    _seq.reserve(events);
     _labelHash.reserve(events);
     _name.reserve(events);
-    _next.reserve(events);
     _gen.reserve(events);
-    _state.reserve(events);
+    _live.reserve(events);
     std::size_t chunks = (events + kSlotChunkSize - 1) >> kSlotChunkShift;
     _chunks.reserve(chunks);
     while (_chunks.size() < chunks)

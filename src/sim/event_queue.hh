@@ -8,45 +8,31 @@
  * SimTime. Events at equal timestamps fire in insertion order, which makes
  * whole-system runs bit-reproducible for a given seed and configuration.
  *
- * Two interchangeable ready structures hold ordinary events:
- *
- * - EventQueueImpl::Wheel (default): a hierarchical time wheel. Six
- *   levels of 64 buckets each cover ~26 simulated days at a 32.768 us
- *   granule; schedule and cancel are O(1), and firing drains one bucket
- *   at a time into a co-timed batch that is sorted once by (when, seq)
- *   and then consumed in place — callbacks that schedule further work at
- *   the current timestamp insert into the live batch without touching
- *   the wheel. The granule is sized so the common near-horizon deltas
- *   (pass latency, item completions) land in level 0 — one O(1) bucket
- *   push, no cascading — and only long timers (scheduling ticks,
- *   deadline sweeps) descend the hierarchy. Events beyond the wheel span
- *   wait in a small sorted overflow heap and are promoted as the cursor
- *   approaches.
- * - EventQueueImpl::Heap: the original binary heap driven by
- *   std::push_heap/std::pop_heap, kept as the golden reference — the
- *   A/B equivalence tests run full grids under both and require
- *   byte-identical results.
+ * Ordinary events wait in a binary min-heap on (when, seq), driven by
+ * std::push_heap/std::pop_heap. Cancellation is lazy: a cancelled event's
+ * slot is reclaimed at once, and its stale heap entry is dropped when it
+ * reaches the top.
  *
  * The schedule/fire path is allocation-free beyond the amortized growth of
  * the internal storage: callbacks live in a 48-byte small-buffer callable
  * (heap fallback only for oversized setup-time captures), per-event
- * metadata (deadline, sequence, bucket link, generation, flags) lives in
- * parallel structure-of-arrays vectors addressed by slot index, handles
- * carry a generation counter so stale cancellations are rejected without
- * any hash-map probe, and debug labels are stored as non-owning pointers
- * to string literals (see setLabelCheck() for the debug verifier).
- * Callback storage is kept in fixed-size chunks with stable addresses so
- * growth never relocates pending callbacks.
+ * metadata (generation, liveness, label) lives in parallel
+ * structure-of-arrays vectors addressed by slot index, handles carry a
+ * generation counter so stale cancellations are rejected without any
+ * hash-map probe, and debug labels are stored as non-owning pointers to
+ * string literals (see setLabelCheck() for the debug verifier). Callback
+ * storage is kept in fixed-size chunks with stable addresses so growth
+ * never relocates pending callbacks.
  *
  * Recurring work uses the Timer facility: addTimer() constructs the
- * callback once, and armed timers wait beside the ready structure in a
- * timer lane, an indexed binary min-heap of inline (when, seq, timer)
- * entries, so arming costs no slot, callback or ready-structure entry.
- * step(), run() and nextEventTime() take the earlier of the lane root
- * (one compare against its cached key) and the ready structure's head;
- * arming draws seq from the schedule() counter, so the fire order is
- * exactly that of one queue. The hypervisor's tick and pass, the soak's
- * arrival pump and the cluster rebalancer are timers.
+ * callback once, and armed timers wait beside the event heap in a timer
+ * lane, an indexed binary min-heap of inline (when, seq, timer) entries,
+ * so arming costs no slot, callback or heap entry. step(), run() and
+ * nextEventTime() take the earlier of the lane root (one compare against
+ * its cached key) and the event heap's top; arming draws seq from the
+ * schedule() counter, so the fire order is exactly that of one queue.
+ * The hypervisor's tick and pass, the soak's arrival pump and the
+ * cluster rebalancer are timers.
  *
  * A holder that can prove a run of a timer's occurrences changes nothing
  * settles it in one call instead of dispatching it: quietUntil() bounds
@@ -61,7 +47,6 @@
 #define NIMBLOCK_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -89,20 +74,17 @@ using TimerId = std::uint32_t;
 /** Sentinel denoting "no timer". */
 inline constexpr TimerId kTimerNone = 0xffffffffu;
 
-/** Selectable ready-structure implementation (see file comment). */
+/**
+ * Ready-structure names that callers may still pass to the EventQueue
+ * constructor or SystemConfig::eventQueue. Every value selects the same
+ * binary heap. perfbench/ still spells Wheel and Auto, so the type stays
+ * until that harness stops naming them.
+ */
 enum class EventQueueImpl
 {
-    Wheel, //!< Hierarchical time wheel with co-timed batch drain.
-    Heap,  //!< Binary heap (golden reference for A/B equivalence).
-    /**
-     * Capacity-hint adaptive: starts on the heap and switches to the
-     * wheel if reserve() signals a pending set deep enough for the
-     * wheel's O(1) paths to beat the heap's O(log n) (the crossover
-     * measured by BM_EventQueueHold in bench_fabric_microbench). The two
-     * structures are byte-identical in results, so the choice is purely
-     * a throughput heuristic.
-     */
-    Auto,
+    Wheel, //!< Same as Heap.
+    Heap,  //!< The binary heap.
+    Auto,  //!< Same as Heap.
 };
 
 /**
@@ -117,32 +99,11 @@ class EventQueue
   public:
     using Callback = SmallFunction<void()>;
 
-    explicit EventQueue(EventQueueImpl impl = EventQueueImpl::Wheel)
-        : _impl(impl == EventQueueImpl::Auto ? EventQueueImpl::Heap : impl),
-          _auto(impl == EventQueueImpl::Auto)
-    {
-        for (auto &level : _bucket)
-            level.fill(kNilSlot);
-    }
+    /** Every EventQueueImpl value builds the same heap queue. */
+    explicit EventQueue(EventQueueImpl = EventQueueImpl::Heap) {}
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /**
-     * Active ready-structure implementation. Auto-constructed queues
-     * report the structure they resolved to (Heap until a reserve()
-     * deep enough to switch).
-     */
-    EventQueueImpl impl() const { return _impl; }
-
-    /**
-     * Pending-set depth at which an Auto queue's reserve() switches from
-     * the heap to the time wheel. Below this the heap's shallow log n
-     * compares beat the wheel's cursor/cascade bookkeeping on sparse
-     * timelines; above it the wheel's O(1) schedule/fire wins (2.0-2.4x
-     * in BM_EventQueueHold at 1k-100k pending).
-     */
-    static constexpr std::size_t kAutoWheelThreshold = 4096;
 
     /** Current simulated time. */
     SimTime now() const { return _now; }
@@ -183,9 +144,8 @@ class EventQueue
     /**
      * Cancel a previously scheduled event.
      *
-     * Cancelling an event of the timestamp batch currently being drained
-     * is safe: the entry is skipped (and its storage reclaimed) when the
-     * drain reaches it.
+     * Safe from inside a callback, also on an event co-timed with the
+     * one firing; an event that cancels itself while it fires gets false.
      *
      * @retval true  The event was pending and is now cancelled.
      * @retval false The event already fired or was already cancelled.
@@ -243,8 +203,7 @@ class EventQueue
      * capped at the horizon of the run(horizon) or step(horizon) in
      * progress. Outside them, and so under a bare step(), no instant is
      * quiet. The lane is read first, so when another timer ends the span
-     * before @p from the answer comes without peeking the ready
-     * structure.
+     * before @p from the answer comes without peeking the event heap.
      *
      * @return The span's last instant, or a time before @p from when no
      *         instant from @p from on is quiet; kTimeNone when nothing
@@ -275,11 +234,6 @@ class EventQueue
     /**
      * Fire the single earliest pending event or timer.
      *
-     * The common case — the next event is already in the open co-timed
-     * batch — is a bounds check, an array read and one key compare
-     * against the lane root; opening the next batch (cursor advance,
-     * cascade, overflow promotion) is the out-of-line slow path.
-     *
      * A bare step() never settles (quietUntil()), so a loop of step()
      * calls dispatches once per event and firedCount() grows by one per
      * call; step(horizon) may settle.
@@ -287,28 +241,7 @@ class EventQueue
      * @retval true  An event fired.
      * @retval false The queue was empty.
      */
-    bool
-    step()
-    {
-        if (_impl == EventQueueImpl::Wheel) {
-            while (_batchPos < _batch.size()) {
-                HeapItem item = _batch[_batchPos];
-                if (laneFirst(item))
-                    return fireTimer();
-                ++_batchPos;
-                std::uint32_t slot = slotOf(item.id);
-                --_entries;
-                if (!(_state[slot] & kLive)) {
-                    freeEntry(slot); // Cancelled while batched.
-                    continue;
-                }
-                fireItem(item);
-                return true;
-            }
-            return wheelStepSlow();
-        }
-        return heapStep();
-    }
+    bool step();
 
     /**
      * Fire the single earliest pending event, as step() does; the fired
@@ -362,12 +295,7 @@ class EventQueue
      * Entries held (live + cancelled garbage), armed timers included.
      * Exposed for tests; always >= pendingCount().
      */
-    std::size_t
-    heapSize() const
-    {
-        return (_impl == EventQueueImpl::Heap ? _heap.size() : _entries) +
-               _lane.size();
-    }
+    std::size_t heapSize() const { return _heap.size() + _lane.size(); }
 
     /**
      * Debug label verifier. When enabled, schedule() records a content
@@ -382,27 +310,8 @@ class EventQueue
     /** Current label-check setting. */
     bool labelCheck() const { return _labelCheck; }
 
-    /** @name Time-wheel geometry (public for the wheel unit tests)
-     *
-     * Level k buckets are 2^(kGranShift + k*kLevelBits) ns wide; six
-     * levels of 64 buckets cover 2^51 ns (~26 days) past the cursor.
-     * Events beyond that wait in the sorted overflow heap.
-     */
-    /// @{
-    static constexpr unsigned kGranShift = 15; //!< 32.768 us granule.
-    static constexpr unsigned kLevelBits = 6;  //!< 64 buckets per level.
-    static constexpr unsigned kLevels = 6;
-    static constexpr std::uint32_t kBuckets = 1u << kLevelBits;
-    /// @}
-
   private:
-    /** @name Slot state flags (SoA _state bytes) */
-    /// @{
-    static constexpr std::uint8_t kLive = 1;   //!< Will fire unless cancelled.
-    static constexpr std::uint8_t kQueued = 2; //!< Storage owned by an entry.
-    /// @}
-
-    /** Ready entry: the (when, seq) key plus the owning handle. */
+    /** Heap entry: the (when, seq) key plus the owning handle. */
     struct HeapItem
     {
         SimTime when;
@@ -441,8 +350,6 @@ class EventQueue
         TimerSlot *timer;
     };
 
-    static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-
     static constexpr EventId
     makeId(std::uint32_t gen, std::uint32_t slot)
     {
@@ -457,11 +364,6 @@ class EventQueue
     static constexpr std::uint32_t genOf(EventId id)
     {
         return static_cast<std::uint32_t>(id >> 32);
-    }
-
-    static constexpr std::uint64_t tickOf(SimTime when)
-    {
-        return static_cast<std::uint64_t>(when) >> kGranShift;
     }
 
     /**
@@ -485,8 +387,7 @@ class EventQueue
     isLive(EventId id) const
     {
         std::uint32_t slot = slotOf(id);
-        return slot < _slotCount && (_state[slot] & kLive) &&
-               _gen[slot] == genOf(id);
+        return slot < _slotCount && _live[slot] && _gen[slot] == genOf(id);
     }
 
     /**
@@ -512,51 +413,27 @@ class EventQueue
     /** Cold path of allocSlot(): extend the SoA vectors and chunks. */
     void growSlotArrays();
 
-    /**
-     * Fill metadata and insert the entry into the ready structure. The
-     * wheel fast path — a strictly-ahead level-0 tick, the common case
-     * by granule choice — is a single inline bucket push; co-granule,
-     * higher-level and overflow placements take the out-of-line place().
-     */
+    /** Fill metadata and push the entry onto the heap. */
     EventId
     commitSchedule(std::uint32_t slot, SimTime when, const char *name)
     {
-        std::uint64_t seq = _nextSeq++;
-        _when[slot] = when;
-        _seq[slot] = seq;
         _name[slot] = name;
-        _state[slot] = kQueued | kLive;
+        _live[slot] = 1;
         if (_labelCheck)
             _labelHash[slot] = labelHash(name);
         ++_liveCount;
-        EventId id = makeId(_gen[slot], slot);
-        if (_impl == EventQueueImpl::Wheel) {
-            std::uint64_t tick = tickOf(when);
-            if (tick > _curTick && (tick ^ _curTick) < kBuckets) {
-                _wheelFloor = std::min(_wheelFloor, tick);
-                bucketPush(0,
-                           static_cast<std::uint32_t>(tick & (kBuckets - 1)),
-                           slot);
-            } else {
-                place(slot, when, seq);
-            }
-            ++_entries;
-        } else {
-            _heap.push_back(HeapItem{when, seq, id});
-            std::push_heap(_heap.begin(), _heap.end(), HeapItemLater{});
-        }
+        const EventId id = makeId(_gen[slot], slot);
+        _heap.push_back(HeapItem{when, _nextSeq++, id});
+        std::push_heap(_heap.begin(), _heap.end(), HeapItemLater{});
         return id;
     }
 
-    /**
-     * Reclaim the storage of an entry that will never fire (cancelled
-     * and now unlinked). Does not touch _liveCount.
-     */
+    /** Reclaim the storage of an entry that will never fire again. */
     void
     freeEntry(std::uint32_t slot)
     {
         chunkCb(slot) = nullptr;
-        _state[slot] = 0;
+        _live[slot] = 0;
         _free.push_back(slot);
     }
 
@@ -574,7 +451,7 @@ class EventQueue
         _now = item.when;
         ++_fired;
         --_liveCount;
-        _state[slot] &= ~kLive;
+        _live[slot] = 0;
         chunkCb(slot)();
         freeEntry(slot);
     }
@@ -615,25 +492,6 @@ class EventQueue
     /** Pop the lane root and run its timer's callback; false if empty. */
     bool fireTimer();
 
-    /**
-     * Wheel mode, batch exhausted: true when the lane root lies in a
-     * granule before @p floor (<= every occupied bucket's first tick).
-     * The cursor then moves up to the root's granule, so its callbacks
-     * land in level 0; entries stay placed while the top window holds.
-     */
-    bool
-    laneLeads(std::uint64_t floor)
-    {
-        const std::uint64_t lane_tick = tickOf(_laneWhen);
-        if (_lane.empty() || lane_tick >= floor)
-            return false;
-        if (lane_tick > _curTick &&
-            (_heap.empty() ||
-             !((lane_tick ^ _curTick) >> (kLevels * kLevelBits))))
-            _curTick = lane_tick;
-        return true;
-    }
-
     /** Remove the entry at @p pos, restoring the heap order. */
     void laneRemove(std::uint32_t pos);
 
@@ -659,9 +517,6 @@ class EventQueue
 
     /// @}
 
-    /** @name Heap implementation */
-    /// @{
-
     /** Remove the heap minimum. */
     void
     heapPop()
@@ -670,81 +525,12 @@ class EventQueue
         _heap.pop_back();
     }
 
-    /**
-     * Drop heap entries whose event has been cancelled. In wheel mode
-     * this maintains the overflow heap, where cancelled entries still
-     * own their slot storage and are reclaimed here.
-     */
+    /** Drop heap entries whose event has been cancelled. */
     void skipDead();
 
-    bool heapStep();
-    void heapRun(SimTime horizon);
-
-    /// @}
-
-    /** @name Wheel implementation */
-    /// @{
-
-    /** Bucket index of @p tick at @p level. */
-    static constexpr std::uint32_t
-    bucketIndex(std::uint64_t tick, unsigned level)
-    {
-        return static_cast<std::uint32_t>(tick >> (level * kLevelBits)) &
-               (kBuckets - 1);
-    }
-
-    /** Push @p slot onto bucket (@p level, @p idx). Order is irrelevant:
-        the drain sorts by (when, seq). */
-    void
-    bucketPush(unsigned level, std::uint32_t idx, std::uint32_t slot)
-    {
-        _next[slot] = _bucket[level][idx];
-        _bucket[level][idx] = slot;
-        _occ[level] |= std::uint64_t{1} << idx;
-    }
-
-    /**
-     * Insert an entry into the wheel, the co-timed batch, or the
-     * overflow heap, based on its distance from the cursor.
-     */
-    void place(std::uint32_t slot, SimTime when, std::uint64_t seq);
-
-    /** Sorted insert into the live batch at a position >= _batchPos. */
-    void batchInsert(std::uint32_t slot, SimTime when, std::uint64_t seq);
-
-    /** Move a drained higher-level bucket's entries down the hierarchy. */
-    void cascade(unsigned level, std::uint32_t idx);
-
-    /** Drain level-0 bucket @p idx into the batch and sort it. */
-    void drainBucket(std::uint32_t idx);
-
-    /** Promote overflow entries that now fit the wheel span. */
-    void promoteOverflow();
-
-    /**
-     * Open the next non-empty co-timed batch, advancing the cursor past
-     * empty buckets, cascading higher levels and promoting overflow as
-     * needed. Returns false, with the batch empty, when no live event
-     * remains (after reclaiming any remaining cancelled garbage) or when
-     * laneLeads() the next occupied bucket.
-     */
-    bool advanceWheel();
-
-    /** Reclaim every remaining (necessarily dead) entry. */
-    void purgeDead();
-
-    /** Slow path of step(): open the next batch and fire its head. */
-    bool wheelStepSlow();
-    void wheelRun(SimTime horizon);
-    SimTime wheelNextEventTime();
-
-    /// @}
-
-    /** Time of the ready structure's earliest live entry, or kTimeNone. */
+    /** Time of the heap's earliest live entry, or kTimeNone. */
     SimTime readyNextTime();
 
-    EventQueueImpl _impl;
-    bool _auto = false; //!< Constructed as Auto; reserve() may switch impl.
     SimTime _now = 0;
     /** Of the run(horizon) or step(horizon) in progress; kTimeNone,
         before any instant, outside them. */
@@ -756,39 +542,22 @@ class EventQueue
 
     /** @name Per-event metadata, structure-of-arrays by slot index.
      *
-     * Kept as parallel trivially-copyable vectors: schedule touches
-     * (_gen, _state, _when, _seq, _name), bucket links touch only _next,
-     * and liveness probes touch only (_state, _gen) — each path pulls
-     * just the cache lines it needs, and growth is a plain memcpy
-     * instead of a per-Slot move.
+     * Kept as parallel trivially-copyable vectors: liveness probes touch
+     * only (_live, _gen), and growth is a plain memcpy instead of a
+     * per-Slot move. The (when, seq) key lives in the heap entry.
      */
     /// @{
-    std::vector<SimTime> _when;
-    std::vector<std::uint64_t> _seq;
     std::vector<std::uint64_t> _labelHash;
     std::vector<const char *> _name;
-    std::vector<std::uint32_t> _next; //!< Intrusive bucket link.
     std::vector<std::uint32_t> _gen;
-    std::vector<std::uint8_t> _state;
+    std::vector<std::uint8_t> _live; //!< 1 while the event will fire.
     /// @}
 
     std::vector<std::unique_ptr<Callback[]>> _chunks;
     std::uint32_t _slotCount = 0; //!< Slots handed out across all chunks.
     std::vector<std::uint32_t> _free;
 
-    /** Heap mode: the ready heap. Wheel mode: the overflow heap. */
-    std::vector<HeapItem> _heap;
-
-    /** Wheel state: occupancy bitmaps, bucket heads, cursor, batch. */
-    std::uint64_t _occ[kLevels] = {};
-    std::array<std::uint32_t, kBuckets> _bucket[kLevels];
-    std::uint64_t _curTick = 0; //!< Tick of the current level-0 bucket.
-    /** Lower bound on every occupied bucket's first tick and overflow
-        tick: lowered by placements, made exact by advanceWheel(). */
-    std::uint64_t _wheelFloor = 0;
-    std::vector<HeapItem> _batch; //!< Current drain batch, (when,seq)-sorted.
-    std::size_t _batchPos = 0;
-    std::size_t _entries = 0; //!< Entries held (live + garbage), wheel mode.
+    std::vector<HeapItem> _heap; //!< Min-heap on (when, seq).
 
     std::vector<std::unique_ptr<TimerSlot>> _timers;
     std::vector<LaneEntry> _lane; //!< Armed timers, min-heap on (when, seq).

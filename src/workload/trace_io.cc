@@ -63,6 +63,10 @@ traceFromString(const std::string &text)
                     fatal("trace line %d: malformed event_ns directive",
                           line_no);
                 }
+                if (arrival_ns < 0) {
+                    fatal("trace line %d: negative arrival %lld ns",
+                          line_no, arrival_ns);
+                }
                 arrival = static_cast<SimTime>(arrival_ns);
             } else {
                 // Legacy lossy format: fractional milliseconds.
@@ -70,6 +74,17 @@ traceFromString(const std::string &text)
                 if (!(fields >> arrival_ms >> app >> batch >> priority)) {
                     fatal("trace line %d: malformed event directive",
                           line_no);
+                }
+                if (arrival_ms < 0) {
+                    fatal("trace line %d: negative arrival %g ms", line_no,
+                          arrival_ms);
+                }
+                // kTimeMax converts to exactly 2^63, the first double
+                // past the range of SimTime.
+                if (!(arrival_ms * 1e6 < static_cast<double>(kTimeMax))) {
+                    fatal("trace line %d: arrival %g ms does not fit the "
+                          "simulated clock",
+                          line_no, arrival_ms);
                 }
                 arrival = simtime::msF(arrival_ms);
             }
@@ -83,6 +98,11 @@ traceFromString(const std::string &text)
         } else {
             fatal("trace line %d: unknown directive '%s'", line_no,
                   directive.c_str());
+        }
+        std::string extra;
+        if (fields >> extra) {
+            fatal("trace line %d: unexpected trailing field '%s'", line_no,
+                  extra.c_str());
         }
     }
     seq.validate();

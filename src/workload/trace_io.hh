@@ -32,8 +32,9 @@ std::string traceToString(const EventSequence &seq);
 /**
  * Parse trace text.
  *
- * fatal()s on malformed input (unknown directives, bad field counts,
- * unsorted arrivals).
+ * fatal()s on malformed input (unknown directives, missing or trailing
+ * fields, negative arrivals or arrivals past the simulated clock's
+ * range, unsorted arrivals).
  */
 EventSequence traceFromString(const std::string &text);
 

@@ -53,7 +53,7 @@ struct Fields
     double duration = 10;
     std::string path = "out.json";
     std::string app;
-    EventQueueImpl impl = EventQueueImpl::Auto;
+    std::string mode = "fast";
     bool on = false;
 
     std::vector<Flag>
@@ -67,7 +67,7 @@ struct Fields
             {"--duration", &duration, "duration", kPositive},
             {"--json", &path, "results file"},
             {"--app", &app, "app", {"alpha", "beta"}},
-            {"--impl", &impl, "event queue", queueImplNames()},
+            {"--mode", &mode, "mode", {"fast", "slow"}},
             {"--on", [this] { on = true; }, "switch"},
             {"--preset",
              [this] {
@@ -84,7 +84,7 @@ TEST(BenchCli, StoresParsedValues)
     Fields f;
     parse({"--count", "9", "--seed", "18446744073709551615", "--boards", "12",
            "--rate", "2.5e3", "--duration", "0.25", "--json", "x.json",
-           "--app", "beta", "--impl", "heap", "--on"},
+           "--app", "beta", "--mode", "slow", "--on"},
           f.flags());
     EXPECT_EQ(f.count, 9);
     EXPECT_EQ(f.seed, 18446744073709551615ull);
@@ -93,7 +93,7 @@ TEST(BenchCli, StoresParsedValues)
     EXPECT_DOUBLE_EQ(f.duration, 0.25);
     EXPECT_EQ(f.path, "x.json");
     EXPECT_EQ(f.app, "beta");
-    EXPECT_EQ(f.impl, EventQueueImpl::Heap);
+    EXPECT_EQ(f.mode, "slow");
     EXPECT_TRUE(f.on);
 }
 
@@ -150,22 +150,11 @@ TEST(BenchCli, NameSetsAdmitOnlyTheirNames)
 {
     Fields f;
     EXPECT_THROW(parse({"--app", "gamma"}, f.flags()), FatalError);
-    EXPECT_THROW(parse({"--impl", "Wheel"}, f.flags()), FatalError);
+    EXPECT_THROW(parse({"--mode", "Slow"}, f.flags()), FatalError);
     EXPECT_TRUE(f.app.empty());
-    parse({"--impl", "wheel"}, f.flags());
-    EXPECT_EQ(f.impl, EventQueueImpl::Wheel);
-    parse({"--impl", "auto"}, f.flags());
-    EXPECT_EQ(f.impl, EventQueueImpl::Auto);
-}
-
-TEST(BenchCli, QueueImplNamesIndexTheEnum)
-{
-    std::vector<std::string> names = queueImplNames();
-    ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[static_cast<std::size_t>(EventQueueImpl::Wheel)],
-              "wheel");
-    EXPECT_EQ(names[static_cast<std::size_t>(EventQueueImpl::Heap)], "heap");
-    EXPECT_EQ(names[static_cast<std::size_t>(EventQueueImpl::Auto)], "auto");
+    EXPECT_EQ(f.mode, "fast");
+    parse({"--mode", "slow"}, f.flags());
+    EXPECT_EQ(f.mode, "slow");
 }
 
 TEST(BenchCli, MissingValuesAndUnknownFlagsThrow)
@@ -218,7 +207,7 @@ TEST(BenchCli, HelpListsEveryRowWithItsDefault)
 
     Fields f;
     help = helpText("bench", f.flags());
-    EXPECT_NE(help.find("wheel|heap|auto, default auto"), std::string::npos)
+    EXPECT_NE(help.find("fast|slow, default fast"), std::string::npos)
         << help;
     EXPECT_NE(help.find("> 0, default 10"), std::string::npos) << help;
     EXPECT_NE(help.find("default out.json"), std::string::npos) << help;

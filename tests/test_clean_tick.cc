@@ -294,7 +294,7 @@ runOnBoard(Scheduler &scheduler, const SystemConfig &cfg,
            const AppRegistry &registry, const EventSequence &seq,
            const bool *abandon = nullptr)
 {
-    EventQueue eq(cfg.eventQueue);
+    EventQueue eq;
     Fabric fabric(eq, cfg.fabric);
     MetricsCollector collector;
     Hypervisor hyp(eq, fabric, scheduler, collector, cfg.hypervisor);
@@ -1014,29 +1014,24 @@ TEST_F(CleanTickTest, TalliesMatchWalksAroundEveryPass)
     std::uint64_t requeues = 0;
     std::uint64_t recycled = 0;
     std::uint64_t pipelined_slots = 0;
-    for (EventQueueImpl impl : {EventQueueImpl::Heap, EventQueueImpl::Wheel}) {
-        for (BoardCase &c : cases) {
-            c.cfg.eventQueue = impl;
-            for (const std::string &sched : extendedSchedulers()) {
-                // fcfs stalls on this board: 15 of 110 apps retire and
-                // then nothing is placed (Simulation::run reports the
-                // stall as fatal; this loop has no horizon), so it is
-                // left out until the stall is mended.
-                if (std::string(c.name) == "deep_hetero" && sched == "fcfs")
-                    continue;
-                SCOPED_TRACE(std::string(c.name) + "/" + sched +
-                             (impl == EventQueueImpl::Heap ? "/heap"
-                                                           : "/wheel"));
-                TallyProbe probe(makeScheduler(sched));
-                BoardRun run = runOnBoard(probe, c.cfg, c.registry, c.seq,
-                                          &probe.failed);
-                EXPECT_GT(probe.checks, 0u);
-                if (probe.failed)
-                    return;
-                requeues += run.result.hypervisorStats.appRequeues;
-                recycled += probe.recycled;
-                pipelined_slots += probe.pipelinedSlots;
-            }
+    for (const BoardCase &c : cases) {
+        for (const std::string &sched : extendedSchedulers()) {
+            // fcfs stalls on this board: 15 of 110 apps retire and then
+            // nothing is placed (Simulation::run reports the stall as
+            // fatal; this loop has no horizon), so it is left out until
+            // the stall is mended.
+            if (std::string(c.name) == "deep_hetero" && sched == "fcfs")
+                continue;
+            SCOPED_TRACE(std::string(c.name) + "/" + sched);
+            TallyProbe probe(makeScheduler(sched));
+            BoardRun run = runOnBoard(probe, c.cfg, c.registry, c.seq,
+                                      &probe.failed);
+            EXPECT_GT(probe.checks, 0u);
+            if (probe.failed)
+                return;
+            requeues += run.result.hypervisorStats.appRequeues;
+            recycled += probe.recycled;
+            pipelined_slots += probe.pipelinedSlots;
         }
     }
     EXPECT_GT(requeues, 0u) << "no requeue recounted the tallies";
@@ -1316,7 +1311,7 @@ operator<<(std::ostream &os, const QueuePoint &p)
 /** What one run of a SettleCase is compared and checked on. */
 struct SettleRun
 {
-    std::string label; //!< Scheduler and queue.
+    std::string label; //!< Scheduler.
     /** Records, makespan, eventsFired and every HypervisorStats field
         but purePassesElided, of every board. */
     std::uint64_t digest = 0;
@@ -1350,7 +1345,7 @@ runSettle(const SettleCase &c, bool eager)
         std::unique_ptr<Hypervisor> hyp;
     };
     const SystemConfig &cfg = c.cfg;
-    EventQueue eq(cfg.eventQueue);
+    EventQueue eq;
     std::vector<Board> boards(c.boards);
     for (Board &b : boards) {
         b.fabric = std::make_unique<Fabric>(eq, cfg.fabric);
@@ -1487,39 +1482,33 @@ firstCounterMismatch(const std::vector<T> &a, const std::vector<T> &b)
 }
 
 /**
- * @p c under every pure scheduler on Heap and on Wheel, each against its
- * eager reference. Returns the settled runs.
+ * @p c under every pure scheduler, each against its eager reference.
+ * Returns the settled runs.
  */
 std::vector<SettleRun>
 expectSettledMatchesEager(SettleCase c)
 {
     std::vector<SettleRun> runs;
-    for (EventQueueImpl impl : {EventQueueImpl::Heap, EventQueueImpl::Wheel}) {
-        for (const char *sched : kPureSchedulers) {
-            const std::string label =
-                std::string(sched) +
-                (impl == EventQueueImpl::Heap ? "/heap" : "/wheel");
-            SCOPED_TRACE(label);
-            c.cfg.scheduler = sched;
-            c.cfg.eventQueue = impl;
-            const SettleRun eager = runSettle(c, /*eager=*/true);
-            SettleRun run = runSettle(c, /*eager=*/false);
-            run.label = label;
-            EXPECT_EQ(run.digest, eager.digest);
-            EXPECT_EQ(run.points, eager.points);
-            EXPECT_EQ(firstCounterMismatch(run.samples, eager.samples), -1);
-            EXPECT_EQ(firstCounterMismatch(run.marks, eager.marks), -1);
-            EXPECT_EQ(run.samples.empty(), !c.counters);
-            EXPECT_EQ(eager.elided, 0u);
-            EXPECT_EQ(eager.steps, eager.stepped);
-            if (c.settles) {
-                EXPECT_LT(run.steps, run.stepped) << "nothing settled";
-                EXPECT_GT(run.elided, 0u);
-            } else {
-                EXPECT_EQ(run.steps, run.stepped) << "a run settled";
-            }
-            runs.push_back(std::move(run));
+    for (const char *sched : kPureSchedulers) {
+        SCOPED_TRACE(sched);
+        c.cfg.scheduler = sched;
+        const SettleRun eager = runSettle(c, /*eager=*/true);
+        SettleRun run = runSettle(c, /*eager=*/false);
+        run.label = sched;
+        EXPECT_EQ(run.digest, eager.digest);
+        EXPECT_EQ(run.points, eager.points);
+        EXPECT_EQ(firstCounterMismatch(run.samples, eager.samples), -1);
+        EXPECT_EQ(firstCounterMismatch(run.marks, eager.marks), -1);
+        EXPECT_EQ(run.samples.empty(), !c.counters);
+        EXPECT_EQ(eager.elided, 0u);
+        EXPECT_EQ(eager.steps, eager.stepped);
+        if (c.settles) {
+            EXPECT_LT(run.steps, run.stepped) << "nothing settled";
+            EXPECT_GT(run.elided, 0u);
+        } else {
+            EXPECT_EQ(run.steps, run.stepped) << "a run settled";
         }
+        runs.push_back(std::move(run));
     }
     return runs;
 }

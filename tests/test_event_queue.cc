@@ -3,6 +3,8 @@
  * Unit tests for the discrete-event kernel.
  */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
@@ -168,6 +170,41 @@ TEST(EventQueue, NextEventTimeReportsEarliest)
     EXPECT_EQ(eq.nextEventTime(), simtime::ms(3));
     eq.cancel(early);
     EXPECT_EQ(eq.nextEventTime(), simtime::ms(9));
+    // The probe must not advance time or fire anything.
+    EXPECT_EQ(eq.now(), 0);
+    EXPECT_EQ(eq.firedCount(), 0u);
+    EXPECT_EQ(eq.pendingCount(), 1u);
+}
+
+TEST(EventQueue, SelfCancelDuringFireReportsFalse)
+{
+    EventQueue eq;
+    EventId self = kEventNone;
+    bool self_cancel = true;
+    self = eq.schedule(simtime::ms(1), "self",
+                       [&] { self_cancel = eq.cancel(self); });
+    eq.run();
+    EXPECT_FALSE(self_cancel) << "an event firing right now already left "
+                                 "the pending set";
+}
+
+TEST(EventQueue, CancelCoTimedEventFromCallbackIsSafe)
+{
+    // Three events at one timestamp: the first cancels the second, which
+    // must not fire, while the third still does.
+    EventQueue eq;
+    std::vector<int> order;
+    SimTime when = simtime::ms(3);
+    EventId second = kEventNone;
+    eq.schedule(when, "first", [&] {
+        order.push_back(1);
+        EXPECT_TRUE(eq.cancel(second));
+    });
+    second = eq.schedule(when, "second", [&] { order.push_back(2); });
+    eq.schedule(when, "third", [&] { order.push_back(3); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(PeriodicEvent, FiresAtFixedPeriod)
@@ -218,6 +255,37 @@ TEST(PeriodicEvent, StartIsIdempotent)
     tick.start();
     eq.run(simtime::ms(30));
     EXPECT_EQ(count, 3);
+}
+
+TEST(PeriodicEvent, StartAlignedRestartOffGridPreservesGrid)
+{
+    // Anchor a periodic timer off any round timestamp, let it run, stop
+    // it, advance the clock to another arbitrary time, and restart
+    // aligned: firings must resume on the original anchor + k * period
+    // grid with no drift and no double-fire.
+    EventQueue eq;
+    SimTime period = simtime::ms(400);
+    std::vector<SimTime> ticks;
+    PeriodicEvent timer(eq, period, "tick",
+                        [&ticks, &eq] { ticks.push_back(eq.now()); });
+
+    SimTime anchor = simtime::ms(7) + 1;
+    eq.schedule(anchor, "start", [&] { timer.start(); });
+    eq.run(anchor + 2 * period);
+    ASSERT_EQ(ticks.size(), 2u);
+    EXPECT_EQ(ticks[0], anchor + period);
+    EXPECT_EQ(ticks[1], anchor + 2 * period);
+
+    timer.stop();
+    // Idle gap of ~3.7 periods, ending off the grid.
+    SimTime restart = anchor + 5 * period + simtime::us(13) + 5;
+    eq.schedule(restart, "restart", [&] { timer.startAligned(); });
+    eq.run(anchor + 7 * period);
+
+    ASSERT_EQ(ticks.size(), 4u);
+    EXPECT_EQ(ticks[2], anchor + 6 * period)
+        << "aligned restart must land on the next original grid point";
+    EXPECT_EQ(ticks[3], anchor + 7 * period);
 }
 
 TEST(EventQueue, MassCancellationLeavesHeapGarbageButZeroPending)
@@ -328,6 +396,25 @@ TEST(EventQueueDeathTest, SchedulingIntoThePastPanicsWithLabel)
             eq.run();
         },
         "time_traveler");
+}
+
+TEST(EventQueueDeathTest, LabelCheckCatchesRecycledLabelStorage)
+{
+    // The label contract requires literal/interned storage. Build a label
+    // in a buffer, schedule with it, then overwrite the buffer: with the
+    // verifier on, the fire must panic instead of silently reporting a
+    // wrong label in traces.
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            eq.setLabelCheck(true);
+            char label[32];
+            std::strcpy(label, "volatile_label");
+            eq.schedule(simtime::ms(1), label, [] {});
+            std::strcpy(label, "overwritten!!!");
+            eq.run();
+        },
+        "label");
 }
 
 TEST(SimTimeHelpers, UnitConversions)

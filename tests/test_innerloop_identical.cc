@@ -253,88 +253,6 @@ TEST_F(InnerloopIdenticalTest, ElisionActuallySavesTicksWhenIdle)
     EXPECT_LT(on.eventsFired, g.events);
 }
 
-TEST_F(InnerloopIdenticalTest, WheelAndHeapQueuesAreByteIdentical)
-{
-    // The ready structure is an implementation detail: swapping the
-    // hierarchical time wheel for the reference binary heap must change
-    // NOTHING observable — records, makespan, pass counts, even the
-    // total number of kernel events fired.
-    EventSequence seq = denseSequence();
-    for (const std::string &name : evaluationSchedulers()) {
-        RunResult wheel = runWith(name, seq, [](SystemConfig &cfg) {
-            cfg.eventQueue = EventQueueImpl::Wheel;
-        });
-        RunResult heap = runWith(name, seq, [](SystemConfig &cfg) {
-            cfg.eventQueue = EventQueueImpl::Heap;
-        });
-
-        EXPECT_EQ(recordsCsv(wheel), recordsCsv(heap)) << name;
-        EXPECT_EQ(wheel.makespan, heap.makespan) << name;
-        EXPECT_EQ(wheel.eventsFired, heap.eventsFired) << name;
-        EXPECT_EQ(wheel.hypervisorStats.schedulingPasses,
-                  heap.hypervisorStats.schedulingPasses)
-            << name;
-        EXPECT_EQ(wheel.hypervisorStats.purePassesElided,
-                  heap.hypervisorStats.purePassesElided)
-            << name;
-        EXPECT_EQ(wheel.hypervisorStats.preemptionsHonored,
-                  heap.hypervisorStats.preemptionsHonored)
-            << name;
-    }
-}
-
-TEST_F(InnerloopIdenticalTest, HeterogeneousFabricIsKernelInvariant)
-{
-    // Slot classes, kernel speedups and energy accounting must not
-    // disturb the queue-kernel equivalence: a heterogeneous themis (or
-    // nimblock/learned) run swaps Wheel for Heap with NOTHING observable
-    // changing, energy attribution included.
-    auto hetero = [](SystemConfig &cfg) {
-        SlotClassConfig big;
-        big.name = "big";
-        big.reconfigScale = 1.4;
-        big.staticPowerWatts = 1.5;
-        big.dynamicPowerWatts = 6.0;
-        big.reconfigEnergyJoules = 0.8;
-        SlotClassConfig small;
-        small.name = "small";
-        small.staticPowerWatts = 0.5;
-        small.dynamicPowerWatts = 2.0;
-        small.reconfigEnergyJoules = 0.3;
-        cfg.fabric.slotClasses = {big, small};
-        cfg.fabric.boardLayout.assign(cfg.fabric.numSlots, "small");
-        for (std::size_t s = 0; s < cfg.fabric.numSlots / 2; ++s)
-            cfg.fabric.boardLayout[s] = "big";
-        cfg.fabric.kernelRules.push_back({"lenet", "big", true, 1.5});
-        cfg.fabric.kernelRules.push_back({"alexnet", "big", true, 1.3});
-        cfg.energy.enabled = true;
-    };
-
-    EventSequence seq = denseSequence();
-    for (const std::string name : {"nimblock", "themis", "learned"}) {
-        RunResult wheel = runWith(name, seq, [&](SystemConfig &cfg) {
-            hetero(cfg);
-            cfg.eventQueue = EventQueueImpl::Wheel;
-        });
-        RunResult heap = runWith(name, seq, [&](SystemConfig &cfg) {
-            hetero(cfg);
-            cfg.eventQueue = EventQueueImpl::Heap;
-        });
-
-        EXPECT_EQ(recordsCsv(wheel), recordsCsv(heap)) << name;
-        EXPECT_EQ(wheel.makespan, heap.makespan) << name;
-        EXPECT_EQ(wheel.eventsFired, heap.eventsFired) << name;
-        ASSERT_EQ(wheel.records.size(), heap.records.size()) << name;
-        for (std::size_t i = 0; i < wheel.records.size(); ++i) {
-            EXPECT_DOUBLE_EQ(wheel.records[i].energyJoules,
-                             heap.records[i].energyJoules)
-                << name;
-        }
-        EXPECT_DOUBLE_EQ(wheel.energy.totalJoules, heap.energy.totalJoules)
-            << name;
-    }
-}
-
 TEST_F(InnerloopIdenticalTest, PurePassElisionIsResultInvariant)
 {
     // Eliding the no-op body of pure scheduler passes (FCFS/RR/static

@@ -7,7 +7,6 @@
  * path across event-queue kernels, migration and fault retries.
  */
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -327,27 +326,6 @@ batchSequence(const std::string &app, int events, int batch)
     return seq;
 }
 
-/** Serialize records for byte-identity comparisons. */
-std::string
-recordsCsv(const RunResult &result)
-{
-    std::string out;
-    char line[256];
-    for (const AppRecord &r : result.records) {
-        std::snprintf(line, sizeof(line),
-                      "%d,%s,%d,%d,%lld,%lld,%lld,%lld,%lld,%d,%d\n",
-                      r.eventIndex, r.appName.c_str(), r.batch, r.priority,
-                      static_cast<long long>(r.arrival),
-                      static_cast<long long>(r.firstLaunch),
-                      static_cast<long long>(r.retire),
-                      static_cast<long long>(r.runTime),
-                      static_cast<long long>(r.reconfigTime), r.reconfigs,
-                      r.preemptions);
-        out += line;
-    }
-    return out;
-}
-
 TEST_F(KernelModelTest, PipelinedBeatsScalarOnEverySchedulerWhenPrimed)
 {
     // Arrivals spaced past each app's response, so pipelines stay
@@ -413,34 +391,6 @@ TEST_F(KernelModelTest, SoloBatchResponseMatchesIssueArithmetic)
     ASSERT_EQ(r.records.size(), 1u);
     EXPECT_EQ(r.records[0].runTime,
               m->itemLatency() + (batch - 1) * m->itemIssueInterval());
-}
-
-TEST_F(KernelModelTest, WheelAndHeapAgreeOnPipelinedRuns)
-{
-    AppRegistry reg = abRegistry();
-    EventSequence seq;
-    seq.name = "km-mixed";
-    const char *apps[] = {"hash_tree", "video_transcode",
-                          "transformer_block"};
-    for (int i = 0; i < 9; ++i) {
-        seq.events.push_back(WorkloadEvent{
-            i, apps[i % 3], 1 + i % 5, i % 2 ? Priority::High
-                                             : Priority::Medium,
-            simtime::ms(150 * i)});
-    }
-    for (const std::string sched : {"nimblock", "themis", "learned"}) {
-        SystemConfig wheel_cfg;
-        wheel_cfg.scheduler = sched;
-        wheel_cfg.eventQueue = EventQueueImpl::Wheel;
-        SystemConfig heap_cfg = wheel_cfg;
-        heap_cfg.eventQueue = EventQueueImpl::Heap;
-
-        RunResult wheel = Simulation(wheel_cfg, reg).run(seq);
-        RunResult heap = Simulation(heap_cfg, reg).run(seq);
-        EXPECT_EQ(recordsCsv(wheel), recordsCsv(heap)) << sched;
-        EXPECT_EQ(wheel.makespan, heap.makespan) << sched;
-        EXPECT_EQ(wheel.eventsFired, heap.eventsFired) << sched;
-    }
 }
 
 TEST_F(KernelModelTest, CheckpointQuantizesToChunkBoundaryExactly)

@@ -66,8 +66,7 @@ digestInput(const RunResult &r)
 
 /** Digest of 2 sequences x 20 events for (scheduler, scenario). */
 std::uint64_t
-runDigest(const std::string &sched, Scenario scenario,
-          EventQueueImpl impl = EventQueueImpl::Auto)
+runDigest(const std::string &sched, Scenario scenario)
 {
     AppRegistry registry = standardRegistry();
     GeneratorConfig gen = scenarioConfig(scenario, registry.names());
@@ -79,7 +78,6 @@ runDigest(const std::string &sched, Scenario scenario,
     for (const auto &seq : seqs) {
         SystemConfig cfg;
         cfg.scheduler = sched;
-        cfg.eventQueue = impl;
         RunResult res = Simulation(cfg, registry).run(seq);
         std::string in = digestInput(res);
         h ^= fnv1a(in.data(), in.size());
@@ -256,8 +254,8 @@ TEST_F(PolicyTest, RefactoredSchedulersMatchPreRefactorGoldens)
 
 // ---------------------------------------------------------------------
 // Snapshot determinism: a probe scheduler that digests every snapshot
-// it builds, used to prove "same state => byte-identical snapshot"
-// across event-kernel implementations.
+// it builds, used to prove "same state => byte-identical snapshot",
+// padding included, across runs.
 
 class ProbeScheduler : public Scheduler
 {
@@ -310,7 +308,7 @@ class ProbeScheduler : public Scheduler
 };
 
 std::vector<std::uint64_t>
-probeRun(EventQueueImpl impl)
+probeRun()
 {
     AppRegistry registry = standardRegistry();
     GeneratorConfig gen =
@@ -319,8 +317,7 @@ probeRun(EventQueueImpl impl)
     EventSequence seq = generateSequence("probe", gen, Rng(11));
 
     SystemConfig cfg;
-    cfg.eventQueue = impl;
-    EventQueue eq(impl);
+    EventQueue eq;
     Fabric fabric(eq, cfg.fabric);
     std::vector<std::uint64_t> digests;
     ProbeScheduler sched(digests);
@@ -348,14 +345,14 @@ probeRun(EventQueueImpl impl)
     return digests;
 }
 
-TEST_F(PolicyTest, SnapshotsAreByteIdenticalAcrossEventKernels)
+TEST_F(PolicyTest, SnapshotsAreByteIdenticalAcrossRuns)
 {
-    // Heap and wheel kernels produce the same event order, so every
+    // Two runs of one sequence pass through the same states, so every
     // per-pass snapshot — padding included — must hash identically.
-    std::vector<std::uint64_t> heap = probeRun(EventQueueImpl::Heap);
-    std::vector<std::uint64_t> wheel = probeRun(EventQueueImpl::Wheel);
-    ASSERT_EQ(heap.size(), wheel.size());
-    EXPECT_EQ(heap, wheel);
+    std::vector<std::uint64_t> first = probeRun();
+    std::vector<std::uint64_t> second = probeRun();
+    ASSERT_EQ(first.size(), second.size());
+    EXPECT_EQ(first, second);
 }
 
 // ---------------------------------------------------------------------
@@ -368,15 +365,6 @@ TEST_F(PolicyTest, LearnedCompletesEveryScenarioDeterministically)
         std::uint64_t second = runDigest("learned", scenario);
         EXPECT_EQ(first, second) << toString(scenario);
     }
-}
-
-TEST_F(PolicyTest, LearnedIsByteIdenticalAcrossEventKernels)
-{
-    std::uint64_t heap =
-        runDigest("learned", Scenario::Stress, EventQueueImpl::Heap);
-    std::uint64_t wheel =
-        runDigest("learned", Scenario::Stress, EventQueueImpl::Wheel);
-    EXPECT_EQ(heap, wheel);
 }
 
 TEST_F(PolicyTest, LearnedSeedChangesExplorationButAlwaysCompletes)

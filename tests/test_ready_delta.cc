@@ -5,9 +5,8 @@
  * lists, so it must list every app whose set of configurable tasks grew.
  * Checking subclasses of both rescan every live app before each pass and
  * assert that, across the paper scenarios, fault injection, migration, a
- * stall rescue and the pipelined library apps, on both event-queue
- * implementations. A depth test pins the delta's size: one arrival lists
- * one app however many apps wait.
+ * stall rescue and the pipelined library apps. A depth test pins the
+ * delta's size: one arrival lists one app however many apps wait.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "apps/registry.hh"
@@ -235,17 +233,14 @@ compressed(EventSequence seq, SimTime spacing)
     return seq;
 }
 
-/** (scheduler, event-queue implementation). */
-using Param = std::tuple<std::string, EventQueueImpl>;
-
-class ReadyDelta : public ::testing::TestWithParam<Param>
+/** Parameterised on the scheduler name. */
+class ReadyDelta : public ::testing::TestWithParam<std::string>
 {
   protected:
     void SetUp() override { setQuiet(true); }
     void TearDown() override { setQuiet(false); }
 
-    const std::string &sched() const { return std::get<0>(GetParam()); }
-    EventQueueImpl impl() const { return std::get<1>(GetParam()); }
+    const std::string &sched() const { return GetParam(); }
 };
 
 TEST_P(ReadyDelta, PaperScenarios)
@@ -256,7 +251,7 @@ TEST_P(ReadyDelta, PaperScenarios)
         SCOPED_TRACE(toString(sc));
         EventSequence seq = generateSequence(
             "delta", scenarioConfig(sc, registry.names()), Rng(2023));
-        EventQueue eq(impl());
+        EventQueue eq;
         Board board(eq, sched());
         scheduleArrivals(eq, board, registry, seq);
         board.hyp.start();
@@ -289,7 +284,7 @@ TEST_P(ReadyDelta, FaultInjection)
     fc.appRequeueLimit = 1;
     fc.validate();
 
-    EventQueue eq(impl());
+    EventQueue eq;
     Board board(eq, sched());
     FaultInjector injector(fc, board.fabric.numSlots());
     board.hyp.setFaultInjector(&injector);
@@ -314,7 +309,7 @@ TEST_P(ReadyDelta, Migration)
         compressed(generateSequence("migrate", gen, Rng(5)),
                    simtime::ms(100));
 
-    EventQueue eq(impl());
+    EventQueue eq;
     Board b0(eq, sched());
     Board b1(eq, sched());
     MigrationConfig mcfg;
@@ -369,7 +364,7 @@ TEST_P(ReadyDelta, ExternalPreemption)
         compressed(generateSequence("preempt", gen, Rng(3)),
                    simtime::ms(50));
 
-    EventQueue eq(impl());
+    EventQueue eq;
     HypervisorConfig hcfg;
     hcfg.allowMidItemPreemption = true;
     Board board(eq, sched(), FabricConfig{}, hcfg);
@@ -399,7 +394,7 @@ TEST_P(ReadyDelta, StallRescue)
     b.chain("t", {simtime::ms(100), simtime::ms(100)});
     AppSpecPtr chain = std::make_shared<AppSpec>("chain2", "C2", b.build());
 
-    EventQueue eq(impl());
+    EventQueue eq;
     FabricConfig fcfg;
     fcfg.numSlots = 1;
     Board board(eq, sched(), fcfg);
@@ -429,7 +424,7 @@ TEST_P(ReadyDelta, PipelinedLibraryApps)
             simtime::ms(static_cast<double>(i))});
     }
 
-    EventQueue eq(impl());
+    EventQueue eq;
     Board board(eq, sched());
     scheduleArrivals(eq, board, registry, seq);
     board.hyp.start();
@@ -438,15 +433,10 @@ TEST_P(ReadyDelta, PipelinedLibraryApps)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SchedulersXQueues, ReadyDelta,
-    ::testing::Combine(::testing::Values(std::string("fcfs"),
-                                         std::string("rr")),
-                       ::testing::Values(EventQueueImpl::Heap,
-                                         EventQueueImpl::Wheel)),
-    [](const ::testing::TestParamInfo<Param> &info) {
-        return std::get<0>(info.param) +
-               (std::get<1>(info.param) == EventQueueImpl::Heap ? "_heap"
-                                                                 : "_wheel");
+    Schedulers, ReadyDelta,
+    ::testing::Values(std::string("fcfs"), std::string("rr")),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
     });
 
 TEST(ReadyDeltaDepth, OneArrivalListsOneAppAtAnyDepth)

@@ -116,21 +116,6 @@ TEST_F(SoakTest, SameSeedIsByteIdenticalAcrossRuns)
     EXPECT_FALSE(a2.run().latencyNs == sc.latencyNs);
 }
 
-TEST_F(SoakTest, WheelAndHeapQueuesAreByteIdentical)
-{
-    // The soak path leans on kernel timers (the self-rearming arrival
-    // pump) far more than the closed grids do; the ready-structure swap
-    // must stay invisible here too, down to the fired-event count.
-    SoakConfig wheel_cfg = baseConfig();
-    wheel_cfg.cluster.board.eventQueue = EventQueueImpl::Wheel;
-    SoakConfig heap_cfg = baseConfig();
-    heap_cfg.cluster.board.eventQueue = EventQueueImpl::Heap;
-
-    SoakEngine wheel(wheel_cfg, twoTenants(), Rng(2023));
-    SoakEngine heap(heap_cfg, twoTenants(), Rng(2023));
-    expectSameStats(wheel.run(), heap.run());
-}
-
 TEST_F(SoakTest, QueueDepthBoundsLiveSetUnderOverload)
 {
     SoakConfig cfg = baseConfig();

@@ -1,17 +1,17 @@
 /**
  * @file
- * The timer lane: armed timers wait beside the Heap and Wheel ready
- * structures instead of inside them, and draw their (when, seq) tie-break
- * from the same sequence stream as ordinary events.
+ * The timer lane: armed timers wait beside the event heap instead of
+ * inside it, and draw their (when, seq) tie-break from the same sequence
+ * stream as ordinary events.
  *
- * A seeded op generator drives a Heap queue, a Wheel queue and a
- * test-local reference queue — a sorted map keyed on (when, seq) in which
- * a timer occurrence is a plain entry — and after every step the three
- * must agree on the fire sequence, firedCount(), pendingCount() and
- * nextEventTime(). Because the lane is shared by Heap and Wheel, the
- * Wheel-vs-Heap A/B cannot catch a lane ordering bug; the hypervisor-level
- * goldens at the end pin runs whose ticks, passes and item completions
- * share exact timestamps to digests recorded before the lane existed.
+ * A seeded op generator drives the production queue and a test-local
+ * reference queue — a sorted map keyed on (when, seq) in which a timer
+ * occurrence is a plain entry — and after every step the two must agree
+ * on the fire sequence, firedCount(), pendingCount() and nextEventTime().
+ * This lockstep run is what pins the queue's (when, seq) fire order. The
+ * hypervisor-level goldens at the end pin runs whose ticks, passes and
+ * item completions share exact timestamps to digests recorded before the
+ * lane existed.
  */
 
 #include <gtest/gtest.h>
@@ -47,10 +47,9 @@ namespace {
 // ---------------------------------------------------------------------
 // Differential queue test.
 
-constexpr SimTime kGranule = SimTime{1} << EventQueue::kGranShift;
-constexpr SimTime kWheelSpan =
-    SimTime{1} << (EventQueue::kGranShift +
-                   EventQueue::kLevels * EventQueue::kLevelBits);
+/** A short gap (32.768 us) and a far one (2^51 ns, about 26 days). */
+constexpr SimTime kShortGap = SimTime{1} << 15;
+constexpr SimTime kFarGap = SimTime{1} << 51;
 
 /** What fired: an ordinary event, a bare timer or a PeriodicEvent. */
 enum class FireKind : std::uint8_t
@@ -126,11 +125,11 @@ struct LaneShape
     std::vector<SimTime> periods = {simtime::ms(400), simtime::ms(3)};
 };
 
-/** The production EventQueue, on the Heap or the Wheel. */
+/** The production EventQueue. */
 class RealQueue final : public QueueUnderTest
 {
   public:
-    RealQueue(EventQueueImpl impl, const LaneShape &shape) : _eq(impl)
+    explicit RealQueue(const LaneShape &shape)
     {
         _eq.setLabelCheck(true);
         for (int t = 0; t < shape.timers; ++t) {
@@ -523,9 +522,9 @@ class Harness
 
   private:
     /**
-     * Offsets from now: at now, inside the current granule, into the
-     * gap before later level-0 buckets, the hypervisor's pass latency
-     * and tick, higher wheel levels, and (rarely) past the wheel span.
+     * Offsets from now: at now, under and over the short gap, the
+     * hypervisor's pass latency and tick, spans up to about 13 days,
+     * and (rarely) past the far gap.
      */
     SimTime
     drawDelta(Rng &rng)
@@ -536,11 +535,11 @@ class Harness
             return 0;
           case 2:
           case 3:
-            return rng.uniformInt(1, kGranule - 1);
+            return rng.uniformInt(1, kShortGap - 1);
           case 4:
           case 5:
           case 6:
-            return rng.uniformInt(1, kGranule * EventQueue::kBuckets);
+            return rng.uniformInt(1, kShortGap * 64);
           case 7:
             return simtime::us(100);
           case 8:
@@ -552,7 +551,7 @@ class Harness
             return rng.uniformInt(1, SimTime{1} << 40);
           case 12:
             return rng.bernoulli(0.2)
-                       ? kWheelSpan + rng.uniformInt(0, SimTime{1} << 36)
+                       ? kFarGap + rng.uniformInt(0, SimTime{1} << 36)
                        : rng.uniformInt(1, 8);
           default:
             return rng.uniformInt(1, simtime::ms(2));
@@ -620,25 +619,22 @@ class Harness
     std::vector<LoggedFire> _log;
 };
 
-/** A Heap queue, a Wheel queue and the reference, compared in lockstep. */
-class LaneTrio
+/** The production queue and the reference, compared in lockstep. */
+class LanePair
 {
   public:
-    LaneTrio(const LaneShape &shape, std::uint64_t seed)
-        : _heap(EventQueueImpl::Heap, shape), _wheel(EventQueueImpl::Wheel,
-                                                     shape),
-          _ref(shape)
+    LanePair(const LaneShape &shape, std::uint64_t seed)
+        : _real(shape), _ref(shape)
     {
         _harness.emplace_back(std::make_unique<Harness>(_ref, shape, seed));
-        _harness.emplace_back(std::make_unique<Harness>(_heap, shape, seed));
-        _harness.emplace_back(std::make_unique<Harness>(_wheel, shape, seed));
+        _harness.emplace_back(std::make_unique<Harness>(_real, shape, seed));
     }
 
     std::vector<std::unique_ptr<Harness>> &harnesses() { return _harness; }
 
     /**
-     * Apply the same op to all three and compare. Draws come from copies
-     * of @p rng so each harness sees the identical stream.
+     * Apply the same op to both and compare. Draws come from copies of
+     * @p rng so each harness sees the identical stream.
      */
     ::testing::AssertionResult
     applyAll(Rng &rng, bool peek)
@@ -650,7 +646,7 @@ class LaneTrio
             const std::int64_t got = _harness[i]->apply(copy);
             if (got != expect) {
                 return ::testing::AssertionFailure()
-                       << implName(i) << " op result " << got
+                       << "queue op result " << got
                        << ", reference " << expect;
             }
         }
@@ -666,7 +662,7 @@ class LaneTrio
         for (std::size_t i = 1; i < _harness.size(); ++i) {
             if (_harness[i]->queue().step() != expect) {
                 return ::testing::AssertionFailure()
-                       << implName(i) << " step() disagrees";
+                       << "queue step() disagrees";
             }
         }
         return check(peek);
@@ -684,27 +680,27 @@ class LaneTrio
             const std::vector<LoggedFire> &got = _harness[i]->log();
             if (got.size() != want.size()) {
                 return ::testing::AssertionFailure()
-                       << implName(i) << " fired " << got.size()
+                       << "queue fired " << got.size()
                        << " callbacks, reference " << want.size();
             }
             for (std::size_t k = _checked; k < want.size(); ++k) {
                 if (!(got[k] == want[k])) {
                     return ::testing::AssertionFailure()
-                           << implName(i) << " fire #" << k << " is "
+                           << "queue fire #" << k << " is "
                            << got[k] << ", reference " << want[k];
                 }
             }
             if (q.now() != ref.now() || q.fired() != ref.fired() ||
                 q.pending() != ref.pending()) {
                 return ::testing::AssertionFailure()
-                       << implName(i) << " now/fired/pending " << q.now()
+                       << "queue now/fired/pending " << q.now()
                        << "/" << q.fired() << "/" << q.pending()
                        << ", reference " << ref.now() << "/" << ref.fired()
                        << "/" << ref.pending();
             }
             if (peek && q.nextEventTime() != ref_next) {
                 return ::testing::AssertionFailure()
-                       << implName(i) << " nextEventTime "
+                       << "queue nextEventTime "
                        << q.nextEventTime() << ", reference " << ref_next;
             }
         }
@@ -715,45 +711,38 @@ class LaneTrio
     std::size_t fires() const { return _harness[0]->log().size(); }
 
   private:
-    static const char *
-    implName(std::size_t i)
-    {
-        return i == 1 ? "Heap" : "Wheel";
-    }
-
-    RealQueue _heap;
-    RealQueue _wheel;
+    RealQueue _real;
     ReferenceQueue _ref;
     std::vector<std::unique_ptr<Harness>> _harness;
     std::size_t _checked = 0;
 };
 
-TEST(TimerLane, GeneratedOpsMatchTheReferenceOnHeapAndWheel)
+TEST(TimerLane, GeneratedOpsMatchTheReference)
 {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         LaneShape shape;
         shape.timers = 2 + static_cast<int>(seed % 5);
-        LaneTrio trio(shape, seed);
+        LanePair lanes(shape, seed);
         Rng rng(seed);
         // Odd seeds skip some nextEventTime() probes, so the fire paths
         // also meet cancelled entries no peek has reclaimed.
         const bool always_peek = seed % 2 == 0;
         for (int op = 0; op < 3000; ++op) {
             const bool peek = always_peek || rng.bernoulli(0.5);
-            ASSERT_TRUE(trio.applyAll(rng, peek)) << "op " << op;
+            ASSERT_TRUE(lanes.applyAll(rng, peek)) << "op " << op;
         }
         // Drain: periodic events run forever and follow-ups re-arm, so
         // stop both first.
-        for (auto &h : trio.harnesses()) {
+        for (auto &h : lanes.harnesses()) {
             h->setFollowUps(false);
             for (int p = 0; p < static_cast<int>(shape.periods.size()); ++p)
                 h->queue().periodicStop(p);
         }
-        ASSERT_TRUE(trio.check(true));
-        while (trio.harnesses()[0]->queue().pending() > 0)
-            ASSERT_TRUE(trio.stepAll(true));
-        EXPECT_GT(trio.fires(), 1000u);
+        ASSERT_TRUE(lanes.check(true));
+        while (lanes.harnesses()[0]->queue().pending() > 0)
+            ASSERT_TRUE(lanes.stepAll(true));
+        EXPECT_GT(lanes.fires(), 1000u);
     }
 }
 
@@ -763,9 +752,9 @@ TEST(TimerLane, RunFiresTheTimerAtTheHorizonButNotOneNanosecondPast)
     shape.timers = 3;
     for (bool timer_first : {true, false}) {
         SCOPED_TRACE(timer_first ? "timer armed first" : "event first");
-        LaneTrio trio(shape, 7);
+        LanePair lanes(shape, 7);
         const SimTime horizon = simtime::ms(400) + simtime::us(100);
-        for (auto &h : trio.harnesses()) {
+        for (auto &h : lanes.harnesses()) {
             h->setFollowUps(false);
             if (timer_first)
                 h->armTimer(0, horizon);
@@ -773,57 +762,30 @@ TEST(TimerLane, RunFiresTheTimerAtTheHorizonButNotOneNanosecondPast)
             if (!timer_first)
                 h->armTimer(0, horizon);
             h->armTimer(1, horizon + 1);
-            h->armTimer(2, horizon - kGranule);
+            h->armTimer(2, horizon - kShortGap);
         }
-        ASSERT_TRUE(trio.check(true));
+        ASSERT_TRUE(lanes.check(true));
         std::vector<std::uint64_t> ran;
-        for (auto &h : trio.harnesses())
+        for (auto &h : lanes.harnesses())
             ran.push_back(h->queue().run(horizon));
-        EXPECT_EQ(ran, (std::vector<std::uint64_t>{3, 3, 3}));
-        ASSERT_TRUE(trio.check(true));
-        for (auto &h : trio.harnesses()) {
+        EXPECT_EQ(ran, (std::vector<std::uint64_t>{3, 3}));
+        ASSERT_TRUE(lanes.check(true));
+        for (auto &h : lanes.harnesses()) {
             EXPECT_EQ(h->queue().now(), horizon);
             EXPECT_EQ(h->queue().nextEventTime(), horizon + 1);
             EXPECT_TRUE(h->queue().armed(1));
             const std::vector<LoggedFire> &log = h->log();
             ASSERT_EQ(log.size(), 3u);
             EXPECT_EQ(log[0], (LoggedFire{FireKind::Timer, 2,
-                                          horizon - kGranule}));
+                                          horizon - kShortGap}));
             const LoggedFire timer{FireKind::Timer, 0, horizon};
             const LoggedFire event{FireKind::Event, 0, horizon};
             EXPECT_EQ(log[1], timer_first ? timer : event);
             EXPECT_EQ(log[2], timer_first ? event : timer);
         }
-        ASSERT_TRUE(trio.stepAll(true));
-        EXPECT_EQ(trio.harnesses()[0]->queue().pending(), 0u);
+        ASSERT_TRUE(lanes.stepAll(true));
+        EXPECT_EQ(lanes.harnesses()[0]->queue().pending(), 0u);
     }
-}
-
-TEST(TimerLane, LeadingTimerPastTheWheelSpanKeepsTheOverflowInOrder)
-{
-    // A timer past the wheel span fires ahead of an overflow event in
-    // the same top-level window. Work scheduled afterwards beyond that
-    // event must still order behind it, and work between them ahead.
-    LaneShape shape;
-    shape.timers = 1;
-    LaneTrio trio(shape, 11);
-    const SimTime lead = kWheelSpan + 5 * kGranule;
-    for (auto &h : trio.harnesses()) {
-        h->setFollowUps(false);
-        h->armTimer(0, lead);
-        h->scheduleEvent(lead + 1000 * kGranule);
-    }
-    ASSERT_TRUE(trio.check(true));
-    ASSERT_TRUE(trio.stepAll(true));
-    for (auto &h : trio.harnesses())
-        h->scheduleEvent(lead + 2000 * kGranule);
-    ASSERT_TRUE(trio.check(true));
-    for (auto &h : trio.harnesses())
-        h->scheduleEvent(lead + 10 * kGranule);
-    ASSERT_TRUE(trio.check(true));
-    while (trio.harnesses()[0]->queue().pending() > 0)
-        ASSERT_TRUE(trio.stepAll(true));
-    EXPECT_EQ(trio.fires(), 4u);
 }
 
 /**
@@ -935,22 +897,22 @@ TEST(TimerLane, SoakOf64BoardsWith129TimersMatchesTheReference)
     LaneShape shape;
     shape.timers = SoakScript::kBoards + 1; // Pass timers, then the pump.
     shape.periods.assign(SoakScript::kBoards, simtime::ms(400));
-    LaneTrio trio(shape, 64);
+    LanePair lanes(shape, 64);
     std::vector<std::unique_ptr<SoakScript>> scripts;
-    for (auto &h : trio.harnesses()) {
+    for (auto &h : lanes.harnesses()) {
         scripts.push_back(std::make_unique<SoakScript>(*h, 64));
         h->setScript([s = scripts.back().get()](Fire f) { s->onFire(f); });
     }
     for (auto &s : scripts)
         s->start();
-    ASSERT_TRUE(trio.check(true));
+    ASSERT_TRUE(lanes.check(true));
     std::size_t steps = 0;
-    while (trio.harnesses()[0]->queue().pending() > 0) {
-        ASSERT_TRUE(trio.stepAll(steps % 3 != 0)) << "step " << steps;
+    while (lanes.harnesses()[0]->queue().pending() > 0) {
+        ASSERT_TRUE(lanes.stepAll(steps % 3 != 0)) << "step " << steps;
         ASSERT_LT(++steps, 400000u);
     }
     EXPECT_EQ(scripts[0]->arrivals(), SoakScript::kArrivals);
-    EXPECT_GT(trio.fires(), 10000u);
+    EXPECT_GT(lanes.fires(), 10000u);
 }
 
 TEST(TimerLaneDeathTest, LabelCheckCatchesARecycledTimerLabel)
@@ -959,7 +921,7 @@ TEST(TimerLaneDeathTest, LabelCheckCatchesARecycledTimerLabel)
     // event labels: overwriting the label's storage must panic.
     EXPECT_DEATH(
         {
-            EventQueue eq(EventQueueImpl::Wheel);
+            EventQueue eq;
             eq.setLabelCheck(true);
             char label[32];
             std::strcpy(label, "volatile_timer");
@@ -1112,11 +1074,10 @@ collisionSequence()
 }
 
 SystemConfig
-collisionConfig(const char *sched, EventQueueImpl impl)
+collisionConfig(const char *sched)
 {
     SystemConfig cfg;
     cfg.scheduler = sched;
-    cfg.eventQueue = impl;
     cfg.fabric.defaultBitstreamBytes = 0;
     cfg.fabric.cap.fixedOverhead = simtime::us(300);
     cfg.fabric.store.sdSetupLatency = simtime::us(200);
@@ -1139,7 +1100,7 @@ runCollisions(const SystemConfig &cfg)
 {
     const AppRegistry registry = collisionRegistry();
     const EventSequence seq = collisionSequence();
-    EventQueue eq(cfg.eventQueue);
+    EventQueue eq;
     Fabric fabric(eq, cfg.fabric);
     std::unique_ptr<Scheduler> scheduler = makeScheduler(cfg.scheduler);
     MetricsCollector collector;
@@ -1189,8 +1150,7 @@ struct CollisionGolden
     std::uint64_t digest;
 };
 
-// Recorded from the build before armed timers moved out of the ready
-// structures.
+// Recorded from the build before armed timers got a lane of their own.
 const CollisionGolden kCollisionGoldens[] = {
     {"fcfs", 0x2c49536f90f1018aull},
     {"prema", 0x79906661f5254f8dull},
@@ -1202,15 +1162,11 @@ TEST(TimerLaneCollisions, CoTimedTicksPassesAndItemsMatchGoldens)
 {
     setQuiet(true);
     for (const CollisionGolden &g : kCollisionGoldens) {
-        for (EventQueueImpl impl :
-             {EventQueueImpl::Heap, EventQueueImpl::Wheel}) {
-            SCOPED_TRACE(std::string(g.sched) +
-                         (impl == EventQueueImpl::Heap ? "/heap" : "/wheel"));
-            CollisionRun run = runCollisions(collisionConfig(g.sched, impl));
-            EXPECT_EQ(run.digest, g.digest);
-            EXPECT_GT(run.onTick, 0u);
-            EXPECT_GT(run.offTick, 0u);
-        }
+        SCOPED_TRACE(g.sched);
+        CollisionRun run = runCollisions(collisionConfig(g.sched));
+        EXPECT_EQ(run.digest, g.digest);
+        EXPECT_GT(run.onTick, 0u);
+        EXPECT_GT(run.offTick, 0u);
     }
     setQuiet(false);
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "workload/trace_io.hh"
 
 namespace nimblock {
@@ -98,6 +99,90 @@ TEST(TraceIo, RejectsMalformedEvent)
     EXPECT_THROW(traceFromString("event 5.0 app\n"), FatalError);
     EXPECT_THROW(traceFromString("event 5.0 app 2 7\n"), FatalError);
     EXPECT_THROW(traceFromString("event_ns 5000 app\n"), FatalError);
+}
+
+/** Parsing @p text must fatal() with a message containing @p what. */
+void
+expectFatal(const std::string &text, const std::string &what)
+{
+    try {
+        traceFromString(text);
+        ADD_FAILURE() << "parsed: " << text;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(TraceIo, RejectsNegativeArrivals)
+{
+    expectFatal("seq t 1\nevent_ns -5 lenet 1 3\n",
+                "trace line 2: negative arrival");
+    expectFatal("event -0.5 lenet 1 3\n", "trace line 1: negative arrival");
+}
+
+TEST(TraceIo, RejectsArrivalsPastTheClock)
+{
+    // 1e300 ms overflows SimTime: converting it would be undefined.
+    expectFatal("event 1e300 lenet 1 3\n",
+                "trace line 1: arrival 1e+300 ms does not fit");
+    // SimTime ends near 9.22e18 ns.
+    expectFatal("event 9.3e12 lenet 1 3\n",
+                "trace line 1: arrival 9.3e+12 ms does not fit");
+    EventSequence seq = traceFromString("event 9e12 lenet 1 3\n");
+    EXPECT_EQ(seq.events[0].arrival, simtime::sec(9000000000));
+}
+
+TEST(TraceIo, RejectsTrailingFields)
+{
+    expectFatal("event_ns 10 lenet 1 3 junk\n",
+                "trace line 1: unexpected trailing field 'junk'");
+    expectFatal("seq t 1\nevent 10 lenet 1 3 4\n",
+                "trace line 2: unexpected trailing field '4'");
+    expectFatal("seq t 1 2\n", "trace line 1: unexpected trailing field '2'");
+}
+
+TEST(TraceIo, SingleByteMutationsParseOrFatal)
+{
+    // Every single-byte replacement, insertion or deletion of a valid
+    // trace either parses or throws FatalError; anything else (another
+    // exception, a crash, a sanitizer report) fails the test.
+    const std::string valid = "# fuzz\n"
+                              "seq fuzz 7\n"
+                              "event 10.5 lenet 5 1\n"
+                              "event_ns 250000001 alexnet 30 9\n"
+                              "event 9e9 lenet 1 3\n";
+    ASSERT_EQ(traceFromString(valid).events.size(), 3u);
+    const char alphabet[] = "0123456789-+.eE# \n\tx";
+    Rng rng(2023);
+    int parsed = 0;
+    int rejected = 0;
+    for (int i = 0; i < 4000; ++i) {
+        std::string text = valid;
+        const std::size_t pos = rng.index(text.size());
+        const char byte = rng.bernoulli(0.5)
+                              ? alphabet[rng.index(sizeof(alphabet) - 1)]
+                              : static_cast<char>(rng.index(256));
+        switch (rng.index(3)) {
+          case 0:
+            text[pos] = byte;
+            break;
+          case 1:
+            text.insert(pos, 1, byte);
+            break;
+          default:
+            text.erase(pos, 1);
+            break;
+        }
+        try {
+            traceFromString(text);
+            ++parsed;
+        } catch (const FatalError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 TEST(TraceIo, RejectsUnsortedEvents)

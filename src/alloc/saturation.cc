@@ -36,8 +36,10 @@ analyzeSaturation(const TaskGraph &graph, std::size_t max_slots,
 }
 
 GoalNumberCache::GoalNumberCache(std::size_t max_slots, MakespanParams params,
-                                 double improve_threshold)
-    : _maxSlots(max_slots), _params(params), _threshold(improve_threshold)
+                                 double improve_threshold,
+                                 const GoalNumberCache *shared)
+    : _maxSlots(max_slots), _params(params), _threshold(improve_threshold),
+      _shared(shared)
 {
     if (max_slots == 0)
         fatal("goal-number cache needs at least one slot");
@@ -46,21 +48,15 @@ GoalNumberCache::GoalNumberCache(std::size_t max_slots, MakespanParams params,
 const SaturationAnalysis &
 GoalNumberCache::analysis(const AppSpec &app, int batch)
 {
-    // Probe with a view so the common hit path stays allocation-free;
-    // only a miss pays for the owning key.
-    auto key = std::make_pair(std::string_view(app.name()), batch);
-    auto it = _cache.find(key);
-    if (it == _cache.end()) {
-        MakespanParams p = _params;
-        p.batch = batch;
-        p.pipelined = p.pipelined && app.pipelineAcrossBatch();
-        it = _cache
-                 .emplace(std::make_pair(app.name(), batch),
-                          analyzeSaturation(app.graph(), _maxSlots, p,
-                                            _threshold))
-                 .first;
-    }
-    return it->second;
+    if (const SaturationAnalysis *hit = peek(app, batch))
+        return *hit;
+    MakespanParams p = _params;
+    p.batch = batch;
+    p.pipelined = p.pipelined && app.pipelineAcrossBatch();
+    return _cache
+        .emplace(std::make_pair(app.name(), batch),
+                 analyzeSaturation(app.graph(), _maxSlots, p, _threshold))
+        .first->second;
 }
 
 void
@@ -73,6 +69,12 @@ GoalNumberCache::insert(const AppSpec &app, int batch,
 const SaturationAnalysis *
 GoalNumberCache::peek(const AppSpec &app, int batch) const
 {
+    if (_shared) {
+        if (const SaturationAnalysis *hit = _shared->peek(app, batch))
+            return hit;
+    }
+    // Probe with a view so the common hit path stays allocation-free;
+    // only a miss in analysis() pays for the owning key.
     auto key = std::make_pair(std::string_view(app.name()), batch);
     auto it = _cache.find(key);
     return it == _cache.end() ? nullptr : &it->second;

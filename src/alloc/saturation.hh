@@ -61,10 +61,13 @@ SaturationAnalysis analyzeSaturation(const TaskGraph &graph,
                                      double improve_threshold = 0.03);
 
 /**
- * Memoizing wrapper used by the Nimblock scheduler.
+ * Memoizing wrapper used by the Nimblock and static schedulers.
  *
  * Goal numbers depend only on (application name, batch size) for fixed
- * fabric timing, so results are cached across arrivals.
+ * fabric timing, so results are cached across arrivals. A cache may sit
+ * in front of a shared read-only tier of the same geometry (a grid's
+ * pre-warmed cache, see core/grid_context.hh): every probe tries that
+ * tier first and fills only this cache.
  */
 class GoalNumberCache
 {
@@ -73,9 +76,12 @@ class GoalNumberCache
      * @param max_slots Number of slots in the system.
      * @param params    Timing parameters shared by all queries.
      * @param improve_threshold Saturation threshold.
+     * @param shared    Optional read-only tier probed first; it must
+     *                  match this geometry and outlive this cache.
      */
     GoalNumberCache(std::size_t max_slots, MakespanParams params,
-                    double improve_threshold = 0.03);
+                    double improve_threshold = 0.03,
+                    const GoalNumberCache *shared = nullptr);
 
     /** Goal number for @p app at @p batch. */
     std::size_t goalNumber(const AppSpec &app, int batch);
@@ -92,9 +98,10 @@ class GoalNumberCache
     void insert(const AppSpec &app, int batch, SaturationAnalysis analysis);
 
     /**
-     * Const probe: the cached sweep for (app, batch), or nullptr when the
-     * pair has not been analyzed. Never fills, so a pre-warmed cache may
-     * be shared read-only across threads (see core/grid_context.hh).
+     * Const probe: the cached sweep for (app, batch), or nullptr when
+     * neither the shared tier nor this cache has analyzed the pair.
+     * Never fills, so a pre-warmed cache may be shared read-only across
+     * threads (see core/grid_context.hh).
      */
     const SaturationAnalysis *peek(const AppSpec &app, int batch) const;
 
@@ -107,7 +114,7 @@ class GoalNumberCache
     bool matches(std::size_t max_slots, const MakespanParams &params,
                  double threshold) const;
 
-    /** Number of distinct (app, batch) pairs analyzed. */
+    /** Number of distinct (app, batch) pairs analyzed by this cache. */
     std::size_t size() const { return _cache.size(); }
 
     /** The shared timing parameters (batch/slots are per-query). */
@@ -137,6 +144,7 @@ class GoalNumberCache
     std::size_t _maxSlots;
     MakespanParams _params;
     double _threshold;
+    const GoalNumberCache *_shared;
     std::map<std::pair<std::string, int>, SaturationAnalysis, KeyLess>
         _cache;
 };

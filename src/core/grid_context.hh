@@ -17,9 +17,12 @@
  * is const, so one context may be shared across ExperimentGrid's worker
  * threads without synchronization.
  *
- * Consumers fall back to their private caches on any miss (an unwarmed
- * pair, a quarantine-changed slot count, a non-default threshold), so a
- * context can never change results — only where the fill cost is paid.
+ * Consumers compute only what the context lacks (an unwarmed pair, a
+ * quarantine-changed slot count, a non-default threshold): the
+ * hypervisor probes it before its own latency cache, and a scheduler's
+ * GoalNumberCache takes goalCache() as a read-only shared tier in front
+ * of its own map. A context can never change results, only where the
+ * fill cost is paid.
  */
 
 #ifndef NIMBLOCK_CORE_GRID_CONTEXT_HH
@@ -70,8 +73,9 @@ class GridContext
     /**
      * The pre-warmed goal-number cache matching a scheduler's exact
      * geometry (slot count, pipelining, timing, threshold), or nullptr
-     * when no pre-warmed cache matches — the scheduler then builds its
-     * own, exactly as without a context.
+     * when none matches. A scheduler passes the result as the shared
+     * tier of its own GoalNumberCache; with nullptr that cache computes
+     * every pair, exactly as without a context.
      */
     const GoalNumberCache *goalCache(std::size_t max_slots,
                                      const MakespanParams &params,

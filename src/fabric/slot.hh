@@ -90,6 +90,9 @@ class Slot
     /** True while the occupant is running a batch item. */
     bool executing() const { return _executing; }
 
+    /** Start time of the in-flight item; kTimeNone while not executing. */
+    SimTime itemStart() const { return _itemStart; }
+
     /**
      * True when the slot is occupied but idle — the occupant finished a
      * batch item and is awaiting its next input. This is the

@@ -29,12 +29,7 @@ Hypervisor::Hypervisor(EventQueue &eq, Fabric &fabric, Scheduler &scheduler,
              "disabling mid-item preemption");
         _cfg.allowMidItemPreemption = false;
     }
-    _itemEvent.assign(fabric.numSlots(), kEventNone);
-    _itemStart.assign(fabric.numSlots(), kTimeNone);
-    _itemDuration.assign(fabric.numSlots(), kTimeNone);
-    _pipeLastDone.assign(fabric.numSlots(), kTimeNone);
-    _pipePrimed.assign(fabric.numSlots(), 0);
-    _slotKernel.assign(fabric.numSlots(), 0);
+    _slotRun.resize(fabric.numSlots());
     _scheduler.attach(*this);
     _tick = std::make_unique<PeriodicEvent>(
         _eq, _cfg.schedInterval, "sched_tick", [this] {
@@ -97,10 +92,6 @@ Hypervisor::setFaultInjector(FaultInjector *injector)
         fc.retry, Rng(fc.seed).derive("retry.jitter").seed());
     _health = std::make_unique<SlotHealth>(_fabric.numSlots(),
                                            fc.quarantineAfter);
-    _configAttempts.assign(_fabric.numSlots(), 0);
-    _itemAttempts.assign(_fabric.numSlots(), 0);
-    _itemFault.assign(_fabric.numSlots(), ItemFault::None);
-    _slotHold.assign(_fabric.numSlots(), 0);
 }
 
 void
@@ -321,7 +312,6 @@ Hypervisor::configure(AppInstance &app, TaskId task, SlotId slot_id)
         app.graph().task(task).bitstreamBytes);
 
     slot.beginConfigure(app.id(), task, key, _eq.now());
-    _slotKernel[slot_id] = app.graph().task(task).kernel ? 1 : 0;
     if (_energy)
         _energy->slotBusy(slot_id, _eq.now());
     app.setTaskPhase(task, TaskPhase::Configuring);
@@ -337,11 +327,6 @@ Hypervisor::configure(AppInstance &app, TaskId task, SlotId slot_id)
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
 
     AppInstanceId app_id = app.id();
-    if (_faults) {
-        _configAttempts[slot_id] = 0;
-        _itemAttempts[slot_id] = 0;
-    }
-
     if (_cfg.allowReconfigSkip && slot.configuredBitstream() &&
         *slot.configuredBitstream() == key) {
         // The requested logic is already configured: skip SD + CAP.
@@ -371,6 +356,22 @@ Hypervisor::classCapLatency(std::uint64_t bytes, SlotId slot_id) const
     return _fabric.cap().reconfigLatency(bytes);
 }
 
+SimTime
+Hypervisor::classKernelTime(const AppInstance &app, SlotId slot_id,
+                            SimTime kernel) const
+{
+    // Only the kernel component scales with the slot class; PS/NoC
+    // transfers are class-independent.
+    if (!_fabric.heterogeneous())
+        return kernel;
+    double speedup = _fabric.kernelSpeedup(app.bitstreamNameId(),
+                                           _fabric.slotClassOf(slot_id));
+    if (speedup == 1.0)
+        return kernel;
+    return static_cast<SimTime>(
+        std::llround(static_cast<double>(kernel) / speedup));
+}
+
 void
 Hypervisor::issueConfigLoad(AppInstanceId app_id, TaskId task, SlotId slot_id,
                             std::uint64_t bytes, SimTime cap_latency)
@@ -391,14 +392,8 @@ Hypervisor::issueConfigLoad(AppInstanceId app_id, TaskId task, SlotId slot_id,
                                /*from_sd=*/true);
                 return;
             }
-            // Scaled slot classes occupy the CAP for their class
-            // latency; kTimeNone keeps the nominal computation so
-            // uniform boards stay byte-identical.
-            SimTime latency_override =
-                _fabric.heterogeneous()
-                    ? _fabric.classReconfigLatency(
-                          bytes, _fabric.slotClassOf(slot_id))
-                    : kTimeNone;
+            // The CAP is occupied for the class-scaled latency the
+            // placement computed (classCapLatency).
             _fabric.cap().reconfigure(
                 slot_id, bytes,
                 [this, app_id, task, slot_id, bytes, cap_latency](bool ok2) {
@@ -409,7 +404,7 @@ Hypervisor::issueConfigLoad(AppInstanceId app_id, TaskId task, SlotId slot_id,
                     }
                     onReconfigDone(app_id, task, slot_id, cap_latency);
                 },
-                latency_override);
+                cap_latency);
         });
 }
 
@@ -421,16 +416,11 @@ Hypervisor::onConfigFailed(AppInstanceId app_id, TaskId task, SlotId slot_id,
     ++_stats.faultsInjected;
     countSample(_ctrFaults, static_cast<double>(_stats.faultsInjected));
 
-    Slot &slot = _fabric.slot(slot_id);
     AppInstance *app = findApp(app_id);
     if (!app) {
         // The app was failed while this operation was in flight; the
-        // placement is orphaned. Free the slot (buffers went with the
-        // app).
-        if (_energy)
-            _energy->slotFree(slot_id, _eq.now(), nullptr);
-        slot.release(_eq.now());
-        requestPass(SchedEvent::ReconfigDone);
+        // placement is orphaned.
+        releaseOrphan(slot_id);
         return;
     }
     trace(slot_id, *app, task, TimelineEventKind::Fault);
@@ -438,7 +428,7 @@ Hypervisor::onConfigFailed(AppInstanceId app_id, TaskId task, SlotId slot_id,
     // SD read errors are a board-level storage problem, not evidence
     // against the slot; only CAP failures feed the quarantine tracker.
     bool quarantine_now = !from_sd && _health->recordFault(slot_id);
-    int attempts = ++_configAttempts[slot_id];
+    int attempts = ++_slotRun[slot_id].configAttempts;
 
     if (quarantine_now) {
         abortPlacement(*app, task, slot_id);
@@ -464,10 +454,7 @@ Hypervisor::onConfigFailed(AppInstanceId app_id, TaskId task, SlotId slot_id,
                 }
                 if (!findApp(app_id)) {
                     // App failed during the backoff; free the held slot.
-                    if (_energy)
-                        _energy->slotFree(slot_id, _eq.now(), nullptr);
-                    s.release(_eq.now());
-                    requestPass(SchedEvent::ReconfigDone);
+                    releaseOrphan(slot_id);
                     return;
                 }
                 issueConfigLoad(app_id, task, slot_id, bytes, cap_latency);
@@ -489,17 +476,29 @@ Hypervisor::abortPlacement(AppInstance &app, TaskId task, SlotId slot_id)
     markReadyChanged(app);
     _buffers.release(app.id(), task);
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
-    trace(slot_id, app, task, TimelineEventKind::Release);
+    releaseSlot(app, task, slot_id, TimelineEventKind::Release);
+    requestPass(SchedEvent::ReconfigDone);
+}
+
+void
+Hypervisor::releaseOrphan(SlotId slot_id)
+{
+    if (_energy)
+        _energy->slotFree(slot_id, _eq.now(), nullptr);
+    _fabric.slot(slot_id).release(_eq.now());
+    _slotRun[slot_id] = SlotRun{};
+    requestPass(SchedEvent::ReconfigDone);
+}
+
+void
+Hypervisor::releaseSlot(AppInstance &app, TaskId task, SlotId slot_id,
+                        TimelineEventKind kind)
+{
+    trace(slot_id, app, task, kind);
     if (_energy)
         _energy->slotFree(slot_id, _eq.now(), &app);
     _fabric.slot(slot_id).release(_eq.now());
-    _pipeLastDone[slot_id] = kTimeNone;
-    _pipePrimed[slot_id] = 0;
-    // Per-slot retry state exists only with an installed injector; the
-    // migration path reaches here fault-free.
-    if (_faults)
-        _configAttempts[slot_id] = 0;
-    requestPass(SchedEvent::ReconfigDone);
+    _slotRun[slot_id] = SlotRun{};
 }
 
 void
@@ -565,47 +564,34 @@ Hypervisor::onReconfigDone(AppInstanceId app_id, TaskId task, SlotId slot_id,
             panic("reconfiguration completed for retired app %llu",
                   static_cast<unsigned long long>(app_id));
         // The app was failed by the resilience policy while this
-        // reconfiguration was in flight: the landing is orphaned. Free
-        // the slot (the failed app's buffers were already released).
-        // The CAP energy was genuinely spent; it lands unattributed.
-        if (_energy) {
+        // reconfiguration was in flight: the landing is orphaned. The
+        // CAP energy was genuinely spent; it lands unattributed.
+        if (_energy)
             _energy->chargeReconfig(slot_id, _eq.now(), nullptr);
-            _energy->slotFree(slot_id, _eq.now(), nullptr);
-        }
-        _fabric.slot(slot_id).release(_eq.now());
-        requestPass(SchedEvent::ReconfigDone);
+        releaseOrphan(slot_id);
         return;
     }
 
+    // The PR time was genuinely spent, whether or not the task goes
+    // Resident.
+    if (_faults)
+        _health->recordSuccess(slot_id);
+    app->addReconfigTime(reconfig_latency);
+    app->noteReconfig();
+    if (_energy)
+        _energy->chargeReconfig(slot_id, _eq.now(), app);
+
     if (app->migrating()) {
         // The landing belongs to an app quiescing for migration (the
-        // reconfiguration was in flight when beginMigration() ran). The
-        // PR time was genuinely spent — charge it — then dissolve the
-        // placement instead of going Resident.
-        if (_faults) {
-            _health->recordSuccess(slot_id);
-            _configAttempts[slot_id] = 0;
-        }
-        app->addReconfigTime(reconfig_latency);
-        app->noteReconfig();
-        if (_energy)
-            _energy->chargeReconfig(slot_id, _eq.now(), app);
+        // reconfiguration was in flight when beginMigration() ran):
+        // dissolve the placement instead of going Resident.
         abortPlacement(*app, task, slot_id);
         maybeFinishQuiesce(*app);
         return;
     }
 
-    Slot &slot = _fabric.slot(slot_id);
-    slot.finishConfigure(_eq.now());
-    if (_faults) {
-        _health->recordSuccess(slot_id);
-        _configAttempts[slot_id] = 0;
-    }
+    _fabric.slot(slot_id).finishConfigure(_eq.now());
     app->setTaskPhase(task, TaskPhase::Resident);
-    app->addReconfigTime(reconfig_latency);
-    app->noteReconfig();
-    if (_energy)
-        _energy->chargeReconfig(slot_id, _eq.now(), app);
     app->noteLaunch(_eq.now());
     trace(slot_id, *app, task, TimelineEventKind::ConfigureEnd);
 
@@ -621,7 +607,7 @@ Hypervisor::advanceSlot(SlotId slot_id)
         return;
 
     // An item-retry backoff holds the slot; the retry event resumes it.
-    if (_faults && _slotHold[slot_id])
+    if (_slotRun[slot_id].hold)
         return;
 
     if (slot.preemptRequested()) {
@@ -667,11 +653,12 @@ Hypervisor::startItem(SlotId slot_id)
     trace(slot_id, *app, task, TimelineEventKind::ItemBegin);
 
     if (!_fabric.config().modelPsContention) {
+        SlotRun &run = _slotRun[slot_id];
         // Resume from a checkpointed partial item when one is saved.
         // (Checkpointed remainders resume unscaled: the saved remainder
         // already reflects the class the item originally started in.)
         SimTime dur;
-        _pipePrimed[slot_id] = 0;
+        run.pipePrimed = false;
         if (st.itemRemaining != kTimeNone) {
             dur = st.itemRemaining;
         } else {
@@ -683,30 +670,20 @@ Hypervisor::startItem(SlotId slot_id)
             // latency. A checkpointed resume is always cold (the
             // pipeline drained with the preemption).
             bool primed = tspec.kernel && st.itemsDone > 0 &&
-                          _pipeLastDone[slot_id] == _eq.now();
-            SimTime kernel_time = primed
-                                      ? tspec.kernel->itemIssueInterval()
-                                      : tspec.itemLatency;
-            if (_fabric.heterogeneous()) {
-                double speedup = _fabric.kernelSpeedup(
-                    app->bitstreamNameId(), _fabric.slotClassOf(slot_id));
-                if (speedup != 1.0) {
-                    // Only the kernel component scales with the slot
-                    // class; PS/NoC transfers are class-independent.
-                    kernel_time = static_cast<SimTime>(std::llround(
-                        static_cast<double>(kernel_time) / speedup));
-                }
-            }
+                          run.pipeLastDone == _eq.now();
+            SimTime kernel_time = classKernelTime(
+                *app, slot_id,
+                primed ? tspec.kernel->itemIssueInterval()
+                       : tspec.itemLatency);
             SimTime io = itemWallTime(*app, task) - tspec.itemLatency;
             // A primed item's transfers overlap the pipeline: the slot
             // is held for the longer of the issue interval and the
             // transfer time, never the sum.
             dur = primed ? std::max(kernel_time, io) : kernel_time + io;
-            _pipePrimed[slot_id] = primed ? 1 : 0;
+            run.pipePrimed = primed;
         }
         st.itemRemaining = kTimeNone;
-        _itemStart[slot_id] = _eq.now();
-        _itemDuration[slot_id] = dur;
+        run.itemDuration = dur;
 
         // Item-level fault injection (single-event execution path only:
         // the three-phase contention path has in-flight transfer state
@@ -714,28 +691,28 @@ Hypervisor::startItem(SlotId slot_id)
         ItemFault fault = _faults ? _faults->drawItemFault(slot_id)
                                   : ItemFault::None;
         if (fault == ItemFault::Crash) {
-            _itemFault[slot_id] = fault;
-            _itemEvent[slot_id] =
+            run.itemFault = fault;
+            run.itemEvent =
                 _eq.scheduleAfter(dur, "item_crash", [this, slot_id] {
-                    _itemEvent[slot_id] = kEventNone;
+                    _slotRun[slot_id].itemEvent = kEventNone;
                     onItemFailed(slot_id, /*hang=*/false);
                 });
             return;
         }
         if (fault == ItemFault::Hang) {
-            _itemFault[slot_id] = fault;
-            _itemEvent[slot_id] = _eq.scheduleAfter(
+            run.itemFault = fault;
+            run.itemEvent = _eq.scheduleAfter(
                 _retry->config().opTimeout, "item_watchdog",
                 [this, slot_id] {
-                    _itemEvent[slot_id] = kEventNone;
+                    _slotRun[slot_id].itemEvent = kEventNone;
                     onItemFailed(slot_id, /*hang=*/true);
                 });
             return;
         }
 
-        _itemEvent[slot_id] =
+        run.itemEvent =
             _eq.scheduleAfter(dur, "item_done", [this, slot_id, dur] {
-                _itemEvent[slot_id] = kEventNone;
+                _slotRun[slot_id].itemEvent = kEventNone;
                 onItemDone(slot_id, dur);
             });
         return;
@@ -748,15 +725,7 @@ Hypervisor::startItem(SlotId slot_id)
     bool interior_in = !app->graph().predecessors(task).empty();
     bool interior_out = !app->graph().successors(task).empty();
     SimTime started = _eq.now();
-    SimTime kernel = spec.itemLatency;
-    if (_fabric.heterogeneous()) {
-        double speedup = _fabric.kernelSpeedup(
-            app->bitstreamNameId(), _fabric.slotClassOf(slot_id));
-        if (speedup != 1.0) {
-            kernel = static_cast<SimTime>(std::llround(
-                static_cast<double>(kernel) / speedup));
-        }
-    }
+    SimTime kernel = classKernelTime(*app, slot_id, spec.itemLatency);
     std::uint64_t out_bytes = spec.outputBytes;
 
     doTransfer(spec.inputBytes, interior_in,
@@ -788,8 +757,8 @@ Hypervisor::onItemDone(SlotId slot_id, SimTime item_duration)
     app->noteItemDone(task);
     // New output can make successors configurable.
     markReadyChanged(*app);
-    if (_faults)
-        _itemAttempts[slot_id] = 0;
+    SlotRun &run = _slotRun[slot_id];
+    run.itemAttempts = 0;
     app->addRunTime(item_duration);
     if (_energy)
         _energy->chargeDynamic(slot_id, _eq.now(), item_duration, app);
@@ -800,8 +769,8 @@ Hypervisor::onItemDone(SlotId slot_id, SimTime item_duration)
     // The kernel pipeline is full at this instant: if the synchronous
     // advanceSlot below starts the next item at this same timestamp it
     // issues at the steady interval (see startItem).
-    _pipeLastDone[slot_id] = _eq.now();
-    _pipePrimed[slot_id] = 0;
+    run.pipeLastDone = _eq.now();
+    run.pipePrimed = false;
 
     // Newly available output may unblock resident successors waiting at
     // their own item boundaries.
@@ -833,15 +802,16 @@ Hypervisor::onItemFailed(SlotId slot_id, bool hang)
     st.executing = false;
     st.itemRemaining = kTimeNone;
     // The fault flushed the kernel pipeline: the retried item is cold.
-    _pipeLastDone[slot_id] = kTimeNone;
-    _pipePrimed[slot_id] = 0;
-    _itemFault[slot_id] = ItemFault::None;
+    SlotRun &run = _slotRun[slot_id];
+    run.pipeLastDone = kTimeNone;
+    run.pipePrimed = false;
+    run.itemFault = ItemFault::None;
     ++_stats.faultsInjected;
     countSample(_ctrFaults, static_cast<double>(_stats.faultsInjected));
     trace(slot_id, *app, task, TimelineEventKind::Fault);
     (void)hang;
 
-    int attempts = ++_itemAttempts[slot_id];
+    int attempts = ++run.itemAttempts;
     if (!_retry->exhausted(attempts)) {
         ++_stats.faultRetries;
         countSample(_ctrFaultRetries,
@@ -849,11 +819,11 @@ Hypervisor::onItemFailed(SlotId slot_id, bool hang)
         app->noteItemRetry();
         // Hold the slot through the backoff so neither the successor
         // wake-up path nor a scheduling pass restarts the item early.
-        _slotHold[slot_id] = 1;
+        run.hold = true;
         _eq.scheduleAfter(
             _retry->backoff(attempts), "item_retry",
             [this, slot_id, app_id, task] {
-                _slotHold[slot_id] = 0;
+                _slotRun[slot_id].hold = false;
                 Slot &s = _fabric.slot(slot_id);
                 // Only resume if the occupant survived the backoff (a
                 // requeue/failure releases the slot meanwhile).
@@ -866,7 +836,8 @@ Hypervisor::onItemFailed(SlotId slot_id, bool hang)
         return;
     }
 
-    _itemAttempts[slot_id] = 0;
+    // Either way the app's resident slots, this one included, are
+    // vacated and their SlotRuns reset.
     requeueOrFail(*app);
 }
 
@@ -879,31 +850,19 @@ Hypervisor::vacateResidentTasks(AppInstance &app)
         if (st.phase != TaskPhase::Resident)
             continue;
         SlotId slot_id = st.slot;
-        Slot &slot = _fabric.slot(slot_id);
         if (st.executing) {
             // Item faults only run on the single-event path, so every
             // executing item of a recoverable app has a pending event.
-            if (_itemEvent[slot_id] != kEventNone) {
-                _eq.cancel(_itemEvent[slot_id]);
-                _itemEvent[slot_id] = kEventNone;
-            }
-            slot.abortItem(_eq.now());
+            if (_slotRun[slot_id].itemEvent != kEventNone)
+                _eq.cancel(_slotRun[slot_id].itemEvent);
+            _fabric.slot(slot_id).abortItem(_eq.now());
             st.executing = false;
         }
         app.setTaskPhase(t, TaskPhase::Idle);
         st.slot = kSlotNone;
         st.itemRemaining = kTimeNone;
         _buffers.release(app.id(), t);
-        trace(slot_id, app, t, TimelineEventKind::Release);
-        slot.clearPreempt();
-        if (_energy)
-            _energy->slotFree(slot_id, _eq.now(), &app);
-        slot.release(_eq.now());
-        _pipeLastDone[slot_id] = kTimeNone;
-        _pipePrimed[slot_id] = 0;
-        _slotHold[slot_id] = 0;
-        _itemFault[slot_id] = ItemFault::None;
-        _itemAttempts[slot_id] = 0;
+        releaseSlot(app, t, slot_id, TimelineEventKind::Release);
     }
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
 }
@@ -978,18 +937,18 @@ Hypervisor::preempt(SlotId slot_id)
     // A faulted in-flight item (crash pending / hung) has no meaningful
     // progress to checkpoint; fall through to the boundary request and
     // let the retry machinery resolve the slot first.
+    SlotRun &run = _slotRun[slot_id];
     if (_cfg.allowMidItemPreemption &&
         !_fabric.config().modelPsContention &&
-        _itemEvent[slot_id] != kEventNone &&
-        (!_faults || _itemFault[slot_id] == ItemFault::None)) {
-        _eq.cancel(_itemEvent[slot_id]);
-        _itemEvent[slot_id] = kEventNone;
+        run.itemEvent != kEventNone && run.itemFault == ItemFault::None) {
+        _eq.cancel(run.itemEvent);
+        run.itemEvent = kEventNone;
 
         AppInstance *app = findApp(slot.app());
         if (!app)
             panic("checkpointing slot %u of retired app", slot_id);
         TaskRunState &st = app->taskState(slot.task());
-        SimTime elapsed = _eq.now() - _itemStart[slot_id];
+        SimTime elapsed = _eq.now() - slot.itemStart();
         SimTime charged = elapsed;
         const KernelModelPtr &km = app->graph().task(slot.task()).kernel;
         if (km) {
@@ -999,10 +958,9 @@ Hypervisor::preempt(SlotId slot_id)
             // Keeps migration and §3.4 batch-preemption exact — the
             // restored remainder plus the charged progress always sums
             // to the item's planned duration.
-            charged = km->chunkAlignedProgress(_itemDuration[slot_id],
-                                               elapsed);
+            charged = km->chunkAlignedProgress(run.itemDuration, elapsed);
         }
-        st.itemRemaining = _itemDuration[slot_id] - charged;
+        st.itemRemaining = run.itemDuration - charged;
         app->addRunTime(charged); // Partial progress counts as run time.
         if (_energy)
             _energy->chargeDynamic(slot_id, _eq.now(), charged, app);
@@ -1049,17 +1007,7 @@ Hypervisor::doPreempt(SlotId slot_id)
     markReadyChanged(*app);
     _buffers.release(app->id(), task);
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
-    trace(slot_id, *app, task, TimelineEventKind::Preempt);
-    if (_energy)
-        _energy->slotFree(slot_id, _eq.now(), app);
-    slot.release(_eq.now());
-    _pipeLastDone[slot_id] = kTimeNone;
-    _pipePrimed[slot_id] = 0;
-    if (_faults) {
-        _slotHold[slot_id] = 0;
-        _itemFault[slot_id] = ItemFault::None;
-        _itemAttempts[slot_id] = 0;
-    }
+    releaseSlot(*app, task, slot_id, TimelineEventKind::Preempt);
     ++_stats.preemptionsHonored;
     requestPass(SchedEvent::PreemptDone);
     maybeFinishQuiesce(*app);
@@ -1078,17 +1026,7 @@ Hypervisor::completeTask(SlotId slot_id)
     app->noteTaskCompleted();
     _buffers.release(app->id(), task);
     countSample(_ctrBufferBytes, static_cast<double>(_buffers.inUse()));
-    trace(slot_id, *app, task, TimelineEventKind::Release);
-    if (_energy)
-        _energy->slotFree(slot_id, _eq.now(), app);
-    slot.release(_eq.now());
-    _pipeLastDone[slot_id] = kTimeNone;
-    _pipePrimed[slot_id] = 0;
-    if (_faults) {
-        _slotHold[slot_id] = 0;
-        _itemFault[slot_id] = ItemFault::None;
-        _itemAttempts[slot_id] = 0;
-    }
+    releaseSlot(*app, task, slot_id, TimelineEventKind::Release);
 
     if (app->done()) {
         retire(*app);
@@ -1380,7 +1318,7 @@ Hypervisor::rescueStallIfNeeded()
     for (const Slot &s : _fabric.slots()) {
         // A slot held by an item-retry backoff has a pending event; it
         // is progress, not a stall.
-        if (s.executing() || (_faults && _slotHold[s.id()]))
+        if (s.executing() || _slotRun[s.id()].hold)
             return;
     }
 
@@ -1459,8 +1397,10 @@ Hypervisor::slotPipelineFlags(SlotId slot_id)
     const Slot &slot = _fabric.slot(slot_id);
     if (slot.state() != SlotState::Occupied)
         return 0;
-    std::uint8_t flags = _slotKernel[slot_id];
-    if (_pipePrimed[slot_id] && slot.executing())
+    // An Occupied slot's app is live: failApp vacates before it retires.
+    const AppInstance *app = findApp(slot.app());
+    std::uint8_t flags = app->graph().task(slot.task()).kernel ? 1 : 0;
+    if (_slotRun[slot_id].pipePrimed && slot.executing())
         flags |= 2;
     return flags;
 }

@@ -202,10 +202,10 @@ class Hypervisor : public SchedulerOps
     /**
      * Attach a fault injector (optional; may be null). Wires the fabric's
      * CAP and bitstream store to the same injector and arms the recovery
-     * machinery (RetryPolicy, SlotHealth, per-slot retry state). With no
-     * injector every fault hook is a single null-pointer branch, so the
-     * default configuration stays byte-identical and allocation-free.
-     * The injector must outlive the hypervisor's activity.
+     * machinery (RetryPolicy, SlotHealth). With no injector every fault
+     * hook is a single null-pointer branch, so the default configuration
+     * stays byte-identical and allocation-free. The injector must
+     * outlive the hypervisor's activity.
      */
     void setFaultInjector(FaultInjector *injector);
 
@@ -409,6 +409,13 @@ class Hypervisor : public SchedulerOps
     /** Dissolve a Configuring placement: task to Idle, slot freed. */
     void abortPlacement(AppInstance &app, TaskId task, SlotId slot);
 
+    /**
+     * Free @p slot, whose placement landed or failed after its app
+     * retired (the app's buffers went with it): the energy interval
+     * closes unattributed, the SlotRun resets, and a pass is requested.
+     */
+    void releaseOrphan(SlotId slot);
+
     /** Quarantine @p slot (must be Free) and start probing it. */
     void quarantineSlot(SlotId slot);
 
@@ -474,6 +481,15 @@ class Hypervisor : public SchedulerOps
     /** Task finished its whole batch. */
     void completeTask(SlotId slot);
 
+    /**
+     * Free @p slot held by (@p app, @p task): record @p kind on the
+     * timeline, close the slot's energy interval, release the slot and
+     * reset its SlotRun. The caller has already moved the task out of
+     * the slot and released its buffers.
+     */
+    void releaseSlot(AppInstance &app, TaskId task, SlotId slot,
+                     TimelineEventKind kind);
+
     /** All tasks of @p app complete: record metrics and drop it. */
     void retire(AppInstance &app);
 
@@ -519,6 +535,10 @@ class Hypervisor : public SchedulerOps
 
     /** Class-scaled CAP latency for a placement in @p slot_id. */
     SimTime classCapLatency(std::uint64_t bytes, SlotId slot_id) const;
+
+    /** @p kernel scaled by @p app's speedup in @p slot_id's class. */
+    SimTime classKernelTime(const AppInstance &app, SlotId slot_id,
+                            SimTime kernel) const;
 
     /** Record a slot transition when a timeline is attached. */
     void trace(SlotId slot, const AppInstance &app, TaskId task,
@@ -577,27 +597,40 @@ class Hypervisor : public SchedulerOps
     /** AppInstanceId -> interned timeline name (lazy; kNameNone until). */
     std::vector<NameId> _appNameId;
 
-    /** Pending item-completion event per slot (for checkpointing). */
-    std::vector<EventId> _itemEvent;
-    /** Start time of the in-flight item per slot. */
-    std::vector<SimTime> _itemStart;
-    /** Planned wall duration of the in-flight item per slot. */
-    std::vector<SimTime> _itemDuration;
     /**
-     * Completion time of the slot's previous item (kTimeNone after any
-     * release/abort). A pipelined task whose next item starts at this
-     * exact timestamp still has a full kernel pipeline and issues at
-     * the steady interval instead of paying the fill latency
-     * (kernel_model/). Irrelevant to scalar tasks.
+     * The hypervisor's side of one slot's occupancy (configure, batch
+     * items, preemption, release; §2.2), beside the Slot's own state.
+     * releaseSlot() and releaseOrphan() reset it, so a free slot always
+     * holds a default SlotRun.
      */
-    std::vector<SimTime> _pipeLastDone;
-    /** In-flight item issued at the steady pipeline interval, per slot. */
-    std::vector<char> _pipePrimed;
-    /**
-     * 1 when the slot's occupant task carries a kernel model; recorded
-     * at configure, read only while the slot is Occupied.
-     */
-    std::vector<std::uint8_t> _slotKernel;
+    struct SlotRun
+    {
+        /** Pending single-event item completion (for checkpointing). */
+        EventId itemEvent = kEventNone;
+        /** Planned wall duration of the in-flight item. */
+        SimTime itemDuration = kTimeNone;
+        /**
+         * Completion time of the previous item (kTimeNone after a
+         * fault). A pipelined task whose next item starts at this exact
+         * timestamp still has a full kernel pipeline and issues at the
+         * steady interval instead of paying the fill latency
+         * (kernel_model/). Irrelevant to scalar tasks.
+         */
+        SimTime pipeLastDone = kTimeNone;
+        /** The in-flight item issued at the steady pipeline interval. */
+        bool pipePrimed = false;
+        /** An item-retry backoff holds the slot (no new items). */
+        bool hold = false;
+        /** Fault class drawn for the in-flight item. */
+        ItemFault itemFault = ItemFault::None;
+        /** Failed attempts of the current Configuring placement. */
+        int configAttempts = 0;
+        /** Failed attempts of the current batch item. */
+        int itemAttempts = 0;
+    };
+
+    /** One SlotRun per slot, indexed by SlotId. */
+    std::vector<SlotRun> _slotRun;
 
     /**
      * Periodic scheduling tick. Parked while no application is live and
@@ -648,19 +681,11 @@ class Hypervisor : public SchedulerOps
 
     Timeline *_timeline = nullptr;
 
-    /** @name Resilience state (sized/armed by setFaultInjector) */
+    /** @name Resilience state (armed by setFaultInjector) */
     /// @{
     FaultInjector *_faults = nullptr; //!< Non-owning; null when disabled.
     std::unique_ptr<RetryPolicy> _retry;
     std::unique_ptr<SlotHealth> _health;
-    /** Failed attempts of the current Configuring placement, per slot. */
-    std::vector<int> _configAttempts;
-    /** Failed attempts of the current batch item, per slot. */
-    std::vector<int> _itemAttempts;
-    /** Fault class drawn for the in-flight item, per slot. */
-    std::vector<ItemFault> _itemFault;
-    /** True while an item-retry backoff holds the slot (no new items). */
-    std::vector<char> _slotHold;
     /// @}
 
     /** Energy accounting; null when disabled (see setEnergyModel). */

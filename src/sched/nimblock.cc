@@ -33,27 +33,25 @@ NimblockScheduler::NimblockScheduler(NimblockConfig cfg)
 void
 NimblockScheduler::ensureComponents()
 {
-    if (!_goals && !_sharedGoals) {
-        MakespanParams params;
-        params.pipelined = _cfg.enablePipelining;
-        params.reconfigLatency = ops().reconfigLatencyEstimate();
-        params.psBandwidthBytesPerSec =
-            ops().fabric().config().psBandwidthBytesPerSec;
-        // A fully-quarantined board has zero schedulable slots; size the
-        // cache as if one existed so passes stay well-defined (nothing
-        // places anyway) until probes restore capacity.
-        std::size_t max_slots =
-            std::max<std::size_t>(1, ops().fabric().schedulableSlotCount());
-        // Prefer the grid's pre-warmed sweep when its geometry matches
-        // exactly; its entries are the same analyzeSaturation() outputs a
-        // private cache would compute, just filled before the run.
-        if (const GridContext *ctx = ops().gridContext())
-            _sharedGoals =
-                ctx->goalCache(max_slots, params, _cfg.saturationThreshold);
-        if (!_sharedGoals)
-            _goals = std::make_unique<GoalNumberCache>(
-                max_slots, params, _cfg.saturationThreshold);
-    }
+    if (_goals)
+        return;
+    MakespanParams params;
+    params.pipelined = _cfg.enablePipelining;
+    params.reconfigLatency = ops().reconfigLatencyEstimate();
+    params.psBandwidthBytesPerSec =
+        ops().fabric().config().psBandwidthBytesPerSec;
+    // A fully-quarantined board has zero schedulable slots; size the
+    // cache as if one existed so passes stay well-defined (nothing
+    // places anyway) until probes restore capacity.
+    std::size_t max_slots =
+        std::max<std::size_t>(1, ops().fabric().schedulableSlotCount());
+    // The grid's pre-warmed sweep holds the same analyzeSaturation()
+    // outputs this cache would compute, just filled before the run.
+    const GridContext *ctx = ops().gridContext();
+    _goals.emplace(max_slots, params, _cfg.saturationThreshold,
+                   ctx ? ctx->goalCache(max_slots, params,
+                                        _cfg.saturationThreshold)
+                       : nullptr);
 }
 
 void
@@ -61,11 +59,10 @@ NimblockScheduler::onCapacityChanged()
 {
     // Goal numbers saturate against the schedulable slot count, which just
     // changed; drop the cache so ensureComponents() rebuilds it sized for
-    // the new capacity (invalidating every per-instance cached goal via
-    // the epoch), and reallocate on the next pass. A shared grid cache is
-    // dropped too: it no longer matches the new slot count.
+    // the new capacity, with the grid's cache as its shared tier only if
+    // that still matches (invalidating every per-instance cached goal via
+    // the epoch), and reallocate on the next pass.
     _goals.reset();
-    _sharedGoals = nullptr;
     ++_goalEpoch;
     _capacityDirty = true;
 }
@@ -87,22 +84,7 @@ NimblockScheduler::goalNumberFor(AppInstance &app)
     if (app.cachedGoalEpoch() == _goalEpoch)
         return app.cachedGoalNumber();
     ensureComponents();
-    std::size_t goal;
-    if (const SaturationAnalysis *a =
-            _sharedGoals ? _sharedGoals->peek(app.spec(), app.batch())
-                         : nullptr) {
-        goal = a->saturationPoint;
-    } else {
-        // No shared entry (unwarmed pair, or no grid context): fill a
-        // private cache with the identical computation.
-        if (!_goals && _sharedGoals) {
-            _goals = std::make_unique<GoalNumberCache>(
-                std::max<std::size_t>(
-                    1, ops().fabric().schedulableSlotCount()),
-                _sharedGoals->params(), _cfg.saturationThreshold);
-        }
-        goal = _goals->goalNumber(app.spec(), app.batch());
-    }
+    std::size_t goal = _goals->goalNumber(app.spec(), app.batch());
     app.setCachedGoalNumber(goal, _goalEpoch);
     return goal;
 }

@@ -22,7 +22,7 @@
 #ifndef NIMBLOCK_SCHED_NIMBLOCK_HH
 #define NIMBLOCK_SCHED_NIMBLOCK_HH
 
-#include <memory>
+#include <optional>
 
 #include "alloc/saturation.hh"
 #include "sched/prema_tokens.hh"
@@ -124,14 +124,13 @@ class NimblockScheduler : public Scheduler
 
     NimblockConfig _cfg;
     TokenPolicy _tokens;
-    std::unique_ptr<GoalNumberCache> _goals;
 
     /**
-     * Pre-warmed goal-number cache shared by the grid (read-only; see
-     * core/grid_context.hh), adopted when its geometry matches exactly.
-     * Misses fall back to the private _goals, built on demand.
+     * Goal numbers for the schedulable slot count, in front of the
+     * grid's pre-warmed cache when one matches this geometry exactly
+     * (see core/grid_context.hh).
      */
-    const GoalNumberCache *_sharedGoals = nullptr;
+    std::optional<GoalNumberCache> _goals;
     std::vector<AppInstanceId> _lastCandidateIds;
     NimblockStats _stats;
 

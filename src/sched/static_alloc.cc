@@ -10,7 +10,7 @@ namespace nimblock {
 void
 StaticAllocScheduler::ensureComponents()
 {
-    if (_goals || _sharedGoals)
+    if (_goals)
         return;
     MakespanParams params;
     params.pipelined = true;
@@ -21,34 +21,16 @@ StaticAllocScheduler::ensureComponents()
     // zero schedulable slots, but the cache must stay constructible.
     std::size_t max_slots =
         std::max<std::size_t>(1, ops().fabric().schedulableSlotCount());
-    if (const GridContext *ctx = ops().gridContext())
-        _sharedGoals = ctx->goalCache(max_slots, params, 0.03);
-    if (!_sharedGoals)
-        _goals = std::make_unique<GoalNumberCache>(max_slots, params);
+    const GridContext *ctx = ops().gridContext();
+    _goals.emplace(max_slots, params, 0.03,
+                   ctx ? ctx->goalCache(max_slots, params, 0.03) : nullptr);
 }
 
 std::size_t
-StaticAllocScheduler::goalNumberFor(AppInstance &app)
+StaticAllocScheduler::reservationOf(AppInstanceId app)
 {
-    if (const SaturationAnalysis *a =
-            _sharedGoals ? _sharedGoals->peek(app.spec(), app.batch())
-                         : nullptr)
-        return a->saturationPoint;
-    if (!_goals && _sharedGoals) {
-        // Unwarmed pair: fall back to a private cache built with the
-        // identical geometry.
-        _goals = std::make_unique<GoalNumberCache>(
-            std::max<std::size_t>(1, ops().fabric().schedulableSlotCount()),
-            _sharedGoals->params());
-    }
-    return _goals->goalNumber(app.spec(), app.batch());
-}
-
-std::size_t
-StaticAllocScheduler::reservationOf(AppInstanceId app) const
-{
-    auto it = _reservations.find(app);
-    return it == _reservations.end() ? 0 : it->second;
+    const AppInstance *inst = ops().findApp(app);
+    return inst ? inst->slotsAllocated() : 0;
 }
 
 void
@@ -56,13 +38,12 @@ StaticAllocScheduler::grantReservations()
 {
     std::size_t total = ops().fabric().schedulableSlotCount();
     for (AppInstance *app : ops().liveApps()) {
-        if (_reservations.count(app->id()))
+        if (app->slotsAllocated() > 0)
             continue;
         if (_reservedTotal >= total)
             return; // Board fully designated; later apps wait (FIFO).
-        std::size_t want = goalNumberFor(*app);
+        std::size_t want = _goals->goalNumber(app->spec(), app->batch());
         std::size_t grant = std::min(want, total - _reservedTotal);
-        _reservations[app->id()] = grant;
         _reservedTotal += grant;
         app->setSlotsAllocated(grant);
     }
@@ -79,7 +60,7 @@ StaticAllocScheduler::pass(SchedEvent reason)
     // sum of reservations <= slots, so a free slot always exists for an
     // application below its reservation.
     for (AppInstance *app : ops().liveApps()) {
-        std::size_t reserved = reservationOf(app->id());
+        std::size_t reserved = app->slotsAllocated();
         if (reserved == 0)
             continue;
         bool pipelined = app->spec().pipelineAcrossBatch();
@@ -98,11 +79,7 @@ StaticAllocScheduler::pass(SchedEvent reason)
 void
 StaticAllocScheduler::onAppRetired(AppInstance &app)
 {
-    auto it = _reservations.find(app.id());
-    if (it != _reservations.end()) {
-        _reservedTotal -= it->second;
-        _reservations.erase(it);
-    }
+    _reservedTotal -= app.slotsAllocated();
 }
 
 } // namespace nimblock

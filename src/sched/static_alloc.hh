@@ -20,8 +20,7 @@
 #ifndef NIMBLOCK_SCHED_STATIC_ALLOC_HH
 #define NIMBLOCK_SCHED_STATIC_ALLOC_HH
 
-#include <map>
-#include <memory>
+#include <optional>
 
 #include "alloc/saturation.hh"
 #include "sched/scheduler.hh"
@@ -42,12 +41,7 @@ class StaticAllocScheduler : public Scheduler
      * grants size against the schedulable slot count, so rebuild the goal
      * cache when quarantine/probe changes it.
      */
-    void
-    onCapacityChanged() override
-    {
-        _goals.reset();
-        _sharedGoals = nullptr;
-    }
+    void onCapacityChanged() override { _goals.reset(); }
 
     /** Pipelining is DML's core mechanism. */
     bool bulkItemGating() const override { return false; }
@@ -56,8 +50,9 @@ class StaticAllocScheduler : public Scheduler
         all of which dirty the hypervisor state. */
     bool passIsPure() const override { return true; }
 
-    /** Reserved slots of @p app (0 = still waiting for a reservation). */
-    std::size_t reservationOf(AppInstanceId app) const;
+    /** Reserved slots of @p app (0 = still waiting for a reservation,
+        or not live). */
+    std::size_t reservationOf(AppInstanceId app);
 
     /** Total currently reserved slots. */
     std::size_t reservedTotal() const { return _reservedTotal; }
@@ -65,18 +60,20 @@ class StaticAllocScheduler : public Scheduler
   private:
     void ensureComponents();
 
-    /** Goal number for @p app: shared grid cache first, then private. */
-    std::size_t goalNumberFor(AppInstance &app);
-
-    /** Grant reservations to unreserved apps in arrival order. */
+    /**
+     * Grant reservations to unreserved apps in arrival order. A grant is
+     * stored as the app's slotsAllocated() and is at least 1, so a
+     * nonzero value marks a reserved app.
+     */
     void grantReservations();
 
-    std::unique_ptr<GoalNumberCache> _goals;
+    /**
+     * Goal numbers for the schedulable slot count, in front of the
+     * grid's pre-warmed cache when one matches this geometry exactly
+     * (see core/grid_context.hh).
+     */
+    std::optional<GoalNumberCache> _goals;
 
-    /** Grid-shared pre-warmed cache (see core/grid_context.hh). */
-    const GoalNumberCache *_sharedGoals = nullptr;
-
-    std::map<AppInstanceId, std::size_t> _reservations;
     std::size_t _reservedTotal = 0;
 };
 

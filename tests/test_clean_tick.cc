@@ -1039,6 +1039,62 @@ TEST_F(CleanTickTest, TalliesMatchWalksAroundEveryPass)
     EXPECT_GT(pipelined_slots, 0u) << "no slot held a kernel-model task";
 }
 
+/**
+ * Folds every slot's SchedulerOps::slotPipelineFlags() into a digest
+ * after every pass, and counts the observations with bit 0 only (a
+ * kernel-model occupant) and with bits 0 and 1 (its in-flight item
+ * issued at the steady pipeline interval).
+ */
+class PipelineFlagProbe : public ForwardingScheduler
+{
+  public:
+    explicit PipelineFlagProbe(std::unique_ptr<Scheduler> inner)
+        : ForwardingScheduler(std::move(inner), /*untracked=*/false)
+    {
+    }
+
+    void
+    pass(SchedEvent reason) override
+    {
+        ForwardingScheduler::pass(reason);
+        for (const Slot &s : ops().fabric().slots()) {
+            const std::uint8_t flags = ops().slotPipelineFlags(s.id());
+            digest.add(flags);
+            kernelOnly += flags == 1;
+            primed += flags == 3;
+        }
+    }
+
+    Digest digest;
+    std::uint64_t kernelOnly = 0;
+    std::uint64_t primed = 0;
+};
+
+// Recorded before the hypervisor derived bit 0 from the occupant task.
+const Golden kPipelineFlagGoldens[] = {
+    {"pipelined_library", "prema", 0x2835a4a858c5fb44ull},
+    {"pipelined_library", "nimblock", 0xd9b908c36b8775cfull},
+};
+
+TEST_F(CleanTickTest, PipelineFlagsMatchGoldensAfterEveryPass)
+{
+    for (const BoardCase &c : boardCases()) {
+        if (std::string(c.name) != "pipelined_library")
+            continue;
+        for (const char *sched : {"prema", "nimblock"}) {
+            SCOPED_TRACE(sched);
+            PipelineFlagProbe probe(makeScheduler(sched));
+            runOnBoard(probe, c.cfg, c.registry, c.seq);
+            EXPECT_EQ(probe.digest.value(),
+                      goldenFor(kPipelineFlagGoldens,
+                                std::size(kPipelineFlagGoldens), c.name,
+                                sched));
+            EXPECT_GT(probe.kernelOnly, 0u) << "no bit-0-only observation";
+            EXPECT_GT(probe.primed, 0u) << "no primed observation";
+        }
+    }
+}
+
 AppInstance
 makeLenet(int batch)
 {

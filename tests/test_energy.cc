@@ -237,7 +237,7 @@ TEST_F(EnergyTest, DisabledByDefaultAndAllZero)
 TEST_F(EnergyTest, AccountingDoesNotPerturbScheduling)
 {
     EventSequence seq = smallSequence(21);
-    for (const std::string &sched : {"nimblock", "prema", "themis"}) {
+    for (std::string sched : {"nimblock", "prema", "themis"}) {
         SystemConfig off;
         off.scheduler = sched;
         RunResult base = Simulation(off, registry).run(seq);
@@ -380,8 +380,9 @@ TEST_F(EnergyTest, IncompatibleClassIsNeverUsed)
     RunResult r = Simulation(cfg, registry).run(seq);
     ASSERT_TRUE(r.timeline);
     for (const TimelineEvent &e : r.timeline->events()) {
-        if (e.slot != kSlotNone)
+        if (e.slot != kSlotNone) {
             EXPECT_LT(e.slot, 5u) << "lenet placed in a forbidden class";
+        }
     }
 }
 

@@ -36,8 +36,9 @@ TEST(HdrHistogram, BucketsAreContiguousAndSelfConsistent)
         std::int64_t lo = HdrHistogram::bucketLo(i);
         std::int64_t hi = HdrHistogram::bucketHi(i);
         ASSERT_LT(lo, hi) << "bucket " << i;
-        if (i + 1 < HdrHistogram::kBucketCount)
+        if (i + 1 < HdrHistogram::kBucketCount) {
             EXPECT_EQ(HdrHistogram::bucketLo(i + 1), hi) << "bucket " << i;
+        }
         // Both edges map back to the bucket they delimit.
         EXPECT_EQ(HdrHistogram::bucketIndex(lo), i);
         EXPECT_EQ(HdrHistogram::bucketIndex(hi - 1), i);

@@ -162,8 +162,9 @@ TEST(TraceExport, GoldenStructure)
         ++slices;
         auto track = std::make_pair(e.pid, e.tid);
         auto it = last_ts.find(track);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             EXPECT_GE(e.ts, it->second) << "track ts went backwards";
+        }
         last_ts[track] = e.ts;
         auto &stack = stacks[track];
         if (e.ph == "B") {
@@ -191,8 +192,9 @@ TEST(TraceExport, GoldenStructure)
         if (e.ph != "C")
             continue;
         auto it = counter_last_ts.find(e.name);
-        if (it != counter_last_ts.end())
+        if (it != counter_last_ts.end()) {
             EXPECT_GE(e.ts, it->second) << "counter " << e.name;
+        }
         counter_last_ts[e.name] = e.ts;
     }
 
